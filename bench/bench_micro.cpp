@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the hot data structures: the
-// recently-seen cache, the sliding Bloom filter, the event queue, the
-// semantic aggregation rule, overlay generation, and shortest-path analysis.
+// recently-seen cache, the event queue, the semantic aggregation rule,
+// overlay generation, and shortest-path analysis.
 //
 // Unlike the figure benches (simulated time, deterministic), these measure
 // wall-clock — BENCH_micro.json is informational and not regression-gated.
@@ -14,7 +14,6 @@
 
 #include "common/rng.hpp"
 #include "gossip/seen_cache.hpp"
-#include "gossip/sliding_bloom.hpp"
 #include "net/latency_model.hpp"
 #include "overlay/analysis.hpp"
 #include "overlay/random_overlay.hpp"
@@ -46,16 +45,6 @@ void BM_SeenCacheDuplicateLookup(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SeenCacheDuplicateLookup);
-
-void BM_SlidingBloomInsert(benchmark::State& state) {
-    SlidingBloom bloom(static_cast<std::size_t>(state.range(0)));
-    std::uint64_t id = 1;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(bloom.insert_if_new(mix64(id++)));
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SlidingBloomInsert)->Arg(1 << 12)->Arg(1 << 16);
 
 void BM_EventQueuePushPop(benchmark::State& state) {
     EventQueue q;

@@ -345,43 +345,6 @@ private:
     std::map<ProcessId, std::uint64_t> seq_;
 };
 
-trace::Tracer::PayloadProbe paxos_payload_probe() {
-    // Same classification the simulator deployment installs (core/experiment).
-    return [](const MessageBody& body) {
-        trace::PayloadInfo info;
-        if (body.kind() != BodyKind::Paxos) return info;
-        const auto& pm = static_cast<const PaxosMessage&>(body);
-        info.type = static_cast<std::int16_t>(pm.type());
-        info.type_name = paxos_msg_type_name(pm.type());
-        info.group = pm.group();
-        switch (pm.type()) {
-            case PaxosMsgType::Phase2a:
-                info.instance = static_cast<const Phase2aMsg&>(pm).instance();
-                break;
-            case PaxosMsgType::Phase2b:
-                info.instance = static_cast<const Phase2bMsg&>(pm).instance();
-                break;
-            case PaxosMsgType::Phase2bAggregate:
-                info.instance = static_cast<const Phase2bAggregateMsg&>(pm).instance();
-                break;
-            case PaxosMsgType::Decision:
-                info.instance = static_cast<const DecisionMsg&>(pm).instance();
-                break;
-            case PaxosMsgType::LearnRequest:
-                info.instance = static_cast<const LearnRequestMsg&>(pm).instance();
-                break;
-            case PaxosMsgType::GroupBatch:
-                // Spans groups by construction: joinable per entry, not per
-                // envelope.
-                info.group = -1;
-                break;
-            default:
-                break;
-        }
-        return info;
-    };
-}
-
 void dump_metrics(std::FILE* out, const Options& opt, const RealTransport* transport,
                   const ConnectionManager* conns, const UdpLink* udp,
                   const group::GroupShard& shard, const PaxosSemantics* semantics,
@@ -425,7 +388,7 @@ void dump_metrics(std::FILE* out, const Options& opt, const RealTransport* trans
         put("group.unroutable", dc.unroutable);
     }
     if (transport) {  // null when the run ended with the node crashed
-        const auto& tc = transport->counters();
+        const RealTransport::Counters tc = transport->counters();
         put("transport.broadcasts", tc.broadcasts);
         put("transport.envelopes_received", tc.envelopes_received);
         put("transport.messages_received", tc.messages_received);
@@ -435,6 +398,7 @@ void dump_metrics(std::FILE* out, const Options& opt, const RealTransport* trans
         put("transport.aggregated_away", tc.aggregated_away);
         put("transport.envelopes_sent", tc.envelopes_sent);
         put("transport.send_queue_drops", tc.send_queue_drops);
+        put("transport.bad_aggregates", tc.bad_aggregates);
         put("transport.decode_errors", tc.decode_errors);
     }
     if (conns) {
@@ -566,6 +530,13 @@ int main(int argc, char** argv) {
         chaos_channel = std::make_unique<ChaosDatagramChannel>(reactor, opt.id,
                                                                opt.chaos_seed);
     }
+    // Created before the first stack so every transport, including one a
+    // chaos restart rebuilds, records its gossip stages.
+    std::unique_ptr<trace::Tracer> tracer;
+    if (!opt.trace_path.empty()) {
+        tracer = std::make_unique<trace::Tracer>();
+        tracer->set_payload_probe(paxos_payload_info);
+    }
 
     const auto build_stack = [&]() -> bool {
         std::string err;
@@ -603,6 +574,7 @@ int main(int argc, char** argv) {
         if (overlay) tp.neighbors = overlay->neighbors(opt.id);
         transport = std::make_unique<RealTransport>(reactor, *chan, std::move(tp),
                                                     *hooks);
+        transport->set_tracer(tracer.get());
         gate.attach(transport.get());
         return true;
     };
@@ -666,23 +638,20 @@ int main(int argc, char** argv) {
             ch.overlay = overlay.get();
             ch.drop_edge = [&](ProcessId a, ProcessId b) {
                 if (!transport) return;
-                if (a == opt.id) transport->remove_neighbor(b);
-                if (b == opt.id) transport->remove_neighbor(a);
+                if (a == opt.id) transport->remove_peer(b);
+                if (b == opt.id) transport->remove_peer(a);
             };
             ch.add_edge = [&](ProcessId a, ProcessId b) {
                 if (!transport) return;
-                if (a == opt.id) transport->add_neighbor(b);
-                if (b == opt.id) transport->add_neighbor(a);
+                if (a == opt.id) transport->add_peer(b);
+                if (b == opt.id) transport->add_peer(a);
             };
         }
         bridge = std::make_unique<ChaosBridge>(reactor, n, std::move(schedule),
                                                std::move(ch));
     }
 
-    std::unique_ptr<trace::Tracer> tracer;
-    if (!opt.trace_path.empty()) {
-        tracer = std::make_unique<trace::Tracer>();
-        tracer->set_payload_probe(paxos_payload_probe());
+    if (tracer) {
         for (GroupId g = 0; g < opt.groups; ++g) {
             shard.process(g).set_tracer(tracer.get());
         }

@@ -138,44 +138,7 @@ Deployment::Deployment(const ExperimentConfig& config) : config_(config) {
         tracer_ = std::make_unique<trace::Tracer>(config.trace_capacity);
         // The probe classifies Paxos bodies so trace events carry the message
         // type and consensus instance without the trace layer knowing Paxos.
-        tracer_->set_payload_probe([](const MessageBody& body) {
-            trace::PayloadInfo info;
-            if (body.kind() != BodyKind::Paxos) return info;
-            const auto& pm = static_cast<const PaxosMessage&>(body);
-            info.type = static_cast<std::int16_t>(pm.type());
-            info.type_name = paxos_msg_type_name(pm.type());
-            info.group = pm.group();
-            switch (pm.type()) {
-                case PaxosMsgType::Phase2a:
-                    info.instance = static_cast<const Phase2aMsg&>(pm).instance();
-                    break;
-                case PaxosMsgType::Phase2b:
-                    info.instance = static_cast<const Phase2bMsg&>(pm).instance();
-                    break;
-                case PaxosMsgType::Phase2bAggregate:
-                    info.instance = static_cast<const Phase2bAggregateMsg&>(pm).instance();
-                    break;
-                case PaxosMsgType::Decision:
-                    info.instance = static_cast<const DecisionMsg&>(pm).instance();
-                    break;
-                case PaxosMsgType::LearnRequest:
-                    info.instance = static_cast<const LearnRequestMsg&>(pm).instance();
-                    break;
-                case PaxosMsgType::GroupBatch:
-                    // Spans groups by construction: joinable per entry, not
-                    // per envelope.
-                    info.group = -1;
-                    break;
-                case PaxosMsgType::ClientValue:
-                case PaxosMsgType::Phase1a:
-                case PaxosMsgType::Phase1b:
-                case PaxosMsgType::Heartbeat:
-                    // Not bound to a single consensus instance; traced with
-                    // the type tag only.
-                    break;
-            }
-            return info;
-        });
+        tracer_->set_payload_probe(paxos_payload_info);
         for (auto& g : gossip_nodes_) g->set_tracer(tracer_.get());
         for (PaxosProcess* p : process_ptrs()) p->set_tracer(tracer_.get());
     }

@@ -21,7 +21,6 @@
 #include "gossip/gossip_node.hpp"
 #include "gossip/hooks.hpp"
 #include "gossip/seen_cache.hpp"
-#include "gossip/sliding_bloom.hpp"
 #include "net/latency_model.hpp"
 #include "net/network.hpp"
 #include "net/region.hpp"

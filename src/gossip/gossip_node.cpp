@@ -23,17 +23,17 @@ std::string PullDigest::describe() const {
     return oss.str();
 }
 
-GossipNode::GossipNode(Node& node, std::vector<ProcessId> peers, Params params,
+GossipNode::GossipNode(Host& host, std::vector<ProcessId> peers, Params params,
                        GossipHooks& hooks)
-    : node_(node),
+    : host_(host),
       peers_(std::move(peers)),
       params_(params),
       hooks_(hooks),
       seen_(params.seen_cache_capacity),
-      rng_(Rng::derive(params.seed, 0x60551ULL ^ static_cast<std::uint64_t>(node.id()))),
+      rng_(Rng::derive(params.seed, 0x60551ULL ^ static_cast<std::uint64_t>(host.id()))),
       queues_(peers_.size()),
       peer_active_(peers_.size(), true) {
-    node_.set_receive_handler(
+    host_.set_receive_handler(
         [this](const NetMessage& msg, CpuContext& ctx) { on_net_receive(msg, ctx); });
     if (params_.strategy != GossipStrategy::Push && !peers_.empty()) {
         schedule_pull_round();
@@ -46,12 +46,12 @@ void GossipNode::broadcast(GossipAppMessage msg, CpuContext& ctx) {
     // broadcasts one (it could not interpret it on delivery either).
     GC_INVARIANT(!msg.aggregated,
                  "aggregated gossip message %016llx entered the broadcast path at node %d",
-                 static_cast<unsigned long long>(msg.id), node_.id());
+                 static_cast<unsigned long long>(msg.id), host_.id());
     ++counters_.broadcasts;
     if (!seen_.insert_if_new(msg.id)) return;  // re-broadcast of a known id
     if (tracer_) {
-        tracer_->record(ctx.now(), trace::Stage::Originate, node_.id(), -1, msg);
-        tracer_->record(ctx.now(), trace::Stage::Deliver, node_.id(), -1, msg);
+        tracer_->record(ctx.now(), trace::Stage::Originate, host_.id(), -1, msg);
+        tracer_->record(ctx.now(), trace::Stage::Deliver, host_.id(), -1, msg);
     }
     remember(msg);
     ++counters_.delivered;
@@ -66,7 +66,7 @@ void GossipNode::broadcast(GossipAppMessage msg, CpuContext& ctx) {
 }
 
 void GossipNode::post_broadcast(GossipAppMessage msg) {
-    node_.post([this, msg = std::move(msg)](CpuContext& ctx) { broadcast(msg, ctx); });
+    host_.post([this, msg = std::move(msg)](CpuContext& ctx) { broadcast(msg, ctx); });
 }
 
 void GossipNode::on_net_receive(const NetMessage& net_msg, CpuContext& ctx) {
@@ -84,10 +84,17 @@ void GossipNode::on_net_receive(const NetMessage& net_msg, CpuContext& ctx) {
         // process each as a regular message.
         std::vector<GossipAppMessage> originals = hooks_.disaggregate(wire_msg);
         for (auto& m : originals) {
+            if (m.aggregated) {
+                // The hooks have no rule to unpack it (a peer flagged a
+                // plain message): drop it here, so peer bytes never reach
+                // the delivery path or its G-AGG-1 check.
+                ++counters_.bad_aggregates;
+                continue;
+            }
             m.hops = wire_msg.hops;  // the originals travelled as the aggregate
             ++counters_.messages_received;
             if (tracer_) {
-                tracer_->record(ctx.now(), trace::Stage::Disaggregate, node_.id(),
+                tracer_->record(ctx.now(), trace::Stage::Disaggregate, host_.id(),
                                 net_msg.from, m);
             }
             accept(m, net_msg.from, ctx);
@@ -99,21 +106,16 @@ void GossipNode::on_net_receive(const NetMessage& net_msg, CpuContext& ctx) {
 }
 
 void GossipNode::accept(const GossipAppMessage& msg, ProcessId received_from, CpuContext& ctx) {
-    // G-AGG-1 (receive side): disaggregation must have reversed the
-    // aggregation rule before a message reaches the delivery path.
-    GC_INVARIANT(!msg.aggregated,
-                 "aggregated gossip message %016llx reached the delivery path at node %d",
-                 static_cast<unsigned long long>(msg.id), node_.id());
-    if (tracer_) tracer_->record(ctx.now(), trace::Stage::Receive, node_.id(), received_from, msg);
+    if (tracer_) tracer_->record(ctx.now(), trace::Stage::Receive, host_.id(), received_from, msg);
     if (!seen_.insert_if_new(msg.id)) {
         ++counters_.duplicates;
         if (tracer_) {
-            tracer_->record(ctx.now(), trace::Stage::DuplicateDrop, node_.id(),
+            tracer_->record(ctx.now(), trace::Stage::DuplicateDrop, host_.id(),
                             received_from, msg);
         }
         return;
     }
-    if (tracer_) tracer_->record(ctx.now(), trace::Stage::Deliver, node_.id(), -1, msg);
+    if (tracer_) tracer_->record(ctx.now(), trace::Stage::Deliver, host_.id(), -1, msg);
     remember(msg);
     ++counters_.delivered;
     hooks_.on_deliver(msg);
@@ -208,20 +210,20 @@ void GossipNode::forward(const GossipAppMessage& msg, ProcessId exclude) {
         if (q.pending.size() >= params_.peer_queue_cap) {
             ++counters_.send_queue_drops;
             if (tracer_) {
-                tracer_->record(node_.simulator().now(), trace::Stage::QueueDrop,
-                                node_.id(), peers_[i], msg);
+                tracer_->record(host_.now(), trace::Stage::QueueDrop,
+                                host_.id(), peers_[i], msg);
             }
             continue;
         }
-        if (q.pending.empty()) q.oldest_enqueued = node_.simulator().now();
+        if (q.pending.empty()) q.oldest_enqueued = host_.now();
         q.pending.push_back(msg);
         if (!q.drain_scheduled) {
             q.drain_scheduled = true;
-            node_.post([this, i](CpuContext& ctx) { drain_peer(i, ctx); });
+            host_.post([this, i](CpuContext& ctx) { drain_peer(i, ctx); });
         } else if (params_.batch_size > 1 && q.pending.size() >= params_.batch_size) {
             // The queue filled while a batching deadline was pending: drain
             // now (the deadline drain finds an empty queue and is a no-op).
-            node_.post([this, i](CpuContext& ctx) { drain_peer(i, ctx); });
+            host_.post([this, i](CpuContext& ctx) { drain_peer(i, ctx); });
         }
     }
 }
@@ -239,8 +241,8 @@ void GossipNode::drain_peer(std::size_t peer_idx, CpuContext& ctx) {
         const SimTime deadline = q.oldest_enqueued + params_.batch_delay;
         if (ctx.now() < deadline) {
             q.drain_scheduled = true;
-            node_.simulator().schedule_at(deadline, [this, peer_idx] {
-                node_.post([this, peer_idx](CpuContext& c) { drain_peer(peer_idx, c); });
+            host_.call_at(deadline, [this, peer_idx] {
+                host_.post([this, peer_idx](CpuContext& c) { drain_peer(peer_idx, c); });
             });
             return;
         }
@@ -271,17 +273,17 @@ void GossipNode::trace_aggregation(const std::vector<GossipAppMessage>& inputs,
     for (const auto& o : outputs) out_ids.insert(o.id);
     std::unordered_set<GossipMsgId> in_ids;
     std::uint16_t merged_hops = 0;
-    const SimTime now = node_.simulator().now();
+    const SimTime now = host_.now();
     for (const auto& in : inputs) {
         in_ids.insert(in.id);
         if (out_ids.contains(in.id)) continue;
         merged_hops = std::max(merged_hops, in.hops);
-        tracer_->record(now, trace::Stage::Aggregate, node_.id(), peer, in);
+        tracer_->record(now, trace::Stage::Aggregate, host_.id(), peer, in);
     }
     for (auto& out : outputs) {
         if (in_ids.contains(out.id)) continue;
         out.hops = merged_hops;  // an aggregate inherits its farthest-travelled input
-        tracer_->record(now, trace::Stage::AggregateBuilt, node_.id(), peer, out);
+        tracer_->record(now, trace::Stage::AggregateBuilt, host_.id(), peer, out);
     }
 }
 
@@ -289,19 +291,20 @@ void GossipNode::send_to_peer(const GossipAppMessage& msg, ProcessId peer, CpuCo
     ctx.consume(params_.validate_cost);
     if (!hooks_.validate(msg, peer)) {
         ++counters_.filtered;
-        if (tracer_) tracer_->record(ctx.now(), trace::Stage::FilterDrop, node_.id(), peer, msg);
+        if (tracer_) tracer_->record(ctx.now(), trace::Stage::FilterDrop, host_.id(), peer, msg);
         return;
     }
     ++counters_.envelopes_sent;
-    if (tracer_) tracer_->record(ctx.now(), trace::Stage::Forward, node_.id(), peer, msg);
+    if (tracer_) tracer_->record(ctx.now(), trace::Stage::Forward, host_.id(), peer, msg);
     GossipAppMessage out = msg;
     ++out.hops;
-    node_.transmit_in_task(
-        NetMessage{node_.id(), peer, std::make_shared<GossipEnvelope>(std::move(out))}, ctx);
+    host_.transmit_in_task(
+        NetMessage{host_.id(), peer, std::make_shared<GossipEnvelope>(std::move(out))}, ctx);
 }
 
 void GossipNode::remember(const GossipAppMessage& msg) {
-    if (params_.store_capacity == 0) return;
+    // Only pull rounds and serve_digest read the store.
+    if (params_.strategy == GossipStrategy::Push || params_.store_capacity == 0) return;
     store_.push_back(msg);
     if (store_.size() > params_.store_capacity) store_.pop_front();
 }
@@ -310,8 +313,8 @@ void GossipNode::schedule_pull_round() {
     // Jitter the period slightly so rounds of different nodes interleave.
     const auto base = params_.pull_interval.as_nanos();
     const auto jitter = rng_.uniform_int(-base / 8, base / 8);
-    node_.simulator().schedule_after(SimTime::nanos(base + jitter), [this] {
-        node_.post([this](CpuContext& ctx) { run_pull_round(ctx); });
+    host_.call_at(host_.now() + SimTime::nanos(base + jitter), [this] {
+        host_.post([this](CpuContext& ctx) { run_pull_round(ctx); });
         schedule_pull_round();
     });
 }
@@ -334,8 +337,8 @@ void GossipNode::run_pull_round(CpuContext& ctx) {
     for (std::size_t i = store_.size() - count; i < store_.size(); ++i) {
         ids.push_back(store_[i].id);
     }
-    node_.transmit_in_task(
-        NetMessage{node_.id(), peers_[idx], std::make_shared<PullDigest>(std::move(ids))}, ctx);
+    host_.transmit_in_task(
+        NetMessage{host_.id(), peers_[idx], std::make_shared<PullDigest>(std::move(ids))}, ctx);
 }
 
 void GossipNode::serve_digest(const PullDigest& digest, ProcessId requester, CpuContext& ctx) {
@@ -346,17 +349,17 @@ void GossipNode::serve_digest(const PullDigest& digest, ProcessId requester, Cpu
         if (!hooks_.validate(m, requester)) {
             ++counters_.filtered;
             if (tracer_) {
-                tracer_->record(ctx.now(), trace::Stage::FilterDrop, node_.id(), requester, m);
+                tracer_->record(ctx.now(), trace::Stage::FilterDrop, host_.id(), requester, m);
             }
             continue;
         }
         ++counters_.pull_served;
         ++counters_.envelopes_sent;
-        if (tracer_) tracer_->record(ctx.now(), trace::Stage::Forward, node_.id(), requester, m);
+        if (tracer_) tracer_->record(ctx.now(), trace::Stage::Forward, host_.id(), requester, m);
         GossipAppMessage out = m;
         ++out.hops;
-        node_.transmit_in_task(
-            NetMessage{node_.id(), requester, std::make_shared<GossipEnvelope>(std::move(out))},
+        host_.transmit_in_task(
+            NetMessage{host_.id(), requester, std::make_shared<GossipEnvelope>(std::move(out))},
             ctx);
     }
 }

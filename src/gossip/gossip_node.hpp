@@ -7,6 +7,9 @@
 // drain time the semantic hooks get their chance: aggregate() over the
 // pending batch, then validate() per message.
 //
+// The node runs on a Host (net/host.hpp): the simulator's Node, or the
+// socket runtime's RealTransport. Both substrates run this one engine.
+//
 // Pull and push-pull dissemination (anti-entropy rounds exchanging digests of
 // recently seen messages) are provided as extensions — the paper adopts push
 // but notes the techniques extend to other strategies.
@@ -22,7 +25,7 @@
 #include "common/rng.hpp"
 #include "gossip/hooks.hpp"
 #include "gossip/seen_cache.hpp"
-#include "net/node.hpp"
+#include "net/host.hpp"
 
 namespace gossipc {
 
@@ -85,7 +88,8 @@ public:
         GossipStrategy strategy = GossipStrategy::Push;
         /// Anti-entropy round period for Pull/PushPull.
         SimTime pull_interval = SimTime::millis(25);
-        /// Recent-message store used to answer pull rounds.
+        /// Recent-message store used to answer pull rounds (filled only
+        /// under Pull and PushPull).
         std::size_t store_capacity = 4096;
         /// Max ids advertised per digest.
         std::size_t digest_max = 1024;
@@ -130,13 +134,17 @@ public:
         std::uint64_t pipelined_forwards = 0;  ///< Pull-mode same-step forwards
         std::uint64_t fanout_limited = 0;      ///< forwards restricted to a subset
         std::uint64_t fanout_widened = 0;      ///< restrictions lifted under pressure
+        std::uint64_t bad_aggregates = 0;      ///< flagged messages the hooks could not unpack
+
+        bool operator==(const Counters&) const = default;
     };
 
     using DeliverFn = std::function<void(const GossipAppMessage&, CpuContext&)>;
 
-    /// `hooks` must outlive the node. Installs itself as the node's receive
-    /// handler and, for Pull/PushPull, starts the anti-entropy timer.
-    GossipNode(Node& node, std::vector<ProcessId> peers, Params params, GossipHooks& hooks);
+    /// `host` and `hooks` must outlive the node. Installs itself as the
+    /// host's receive handler and, for Pull/PushPull, starts the
+    /// anti-entropy timer.
+    GossipNode(Host& host, std::vector<ProcessId> peers, Params params, GossipHooks& hooks);
 
     /// Sets the application delivery callback (the consensus protocol's
     /// "delivery queue" consumer).
@@ -167,7 +175,7 @@ public:
     /// All peer slots ever attached, including churned-out (inactive) ones;
     /// use is_peer() for current adjacency.
     const std::vector<ProcessId>& peers() const { return peers_; }
-    Node& node() { return node_; }
+    Host& host() { return host_; }
 
 private:
     void on_net_receive(const NetMessage& msg, CpuContext& ctx);
@@ -184,7 +192,7 @@ private:
     void run_pull_round(CpuContext& ctx);
     void serve_digest(const PullDigest& digest, ProcessId requester, CpuContext& ctx);
 
-    Node& node_;
+    Host& host_;
     std::vector<ProcessId> peers_;
     Params params_;
     GossipHooks& hooks_;

@@ -16,6 +16,7 @@
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "net/host.hpp"
 #include "net/message.hpp"
 #include "net/region.hpp"
 #include "sim/simulator.hpp"
@@ -24,21 +25,7 @@ namespace gossipc {
 
 class Network;
 
-/// Virtual CPU clock handed to tasks; tasks account for the work they do by
-/// calling consume(). Effects of a task (e.g. transmissions) are stamped at
-/// the task's current virtual time.
-class CpuContext {
-public:
-    explicit CpuContext(SimTime start) : vt_(start) {}
-
-    SimTime now() const { return vt_; }
-    void consume(SimTime cost) { vt_ += cost; }
-
-private:
-    SimTime vt_;
-};
-
-class Node final : public DeliveryTarget {
+class Node final : public DeliveryTarget, public Host {
 public:
     struct Params {
         // Defaults calibrated so that, like in the paper's evaluation, the
@@ -64,18 +51,19 @@ public:
         std::uint64_t bytes_sent = 0;
     };
 
-    using ReceiveHandler = std::function<void(const NetMessage&, CpuContext&)>;
-    using Task = std::function<void(CpuContext&)>;
-
     Node(Simulator& sim, Network& network, ProcessId id, Region region, Params params);
 
-    ProcessId id() const { return id_; }
+    ProcessId id() const override { return id_; }
+    SimTime now() const override { return sim_.now(); }
     Region region() const { return region_; }
     const Counters& counters() const { return counters_; }
     const Params& params() const { return params_; }
     Simulator& simulator() { return sim_; }
 
-    void set_receive_handler(ReceiveHandler handler) { handler_ = std::move(handler); }
+    void set_receive_handler(ReceiveHandler handler) override { handler_ = std::move(handler); }
+    void call_at(SimTime at, std::function<void()> fn) override {
+        sim_.schedule_at(at, std::move(fn));
+    }
 
     /// Enables receive-side random message loss with probability `p`.
     void set_loss(double p, Rng rng);
@@ -93,11 +81,11 @@ public:
     void deliver_event(NetMessage msg) override { arrival(std::move(msg)); }
 
     /// Posts generic CPU work (control tasks are never dropped).
-    void post(Task task);
+    void post(Task task) override;
 
     /// Transmits from within a running task: consumes send CPU at the task's
     /// virtual time and ships the message. Requires an allowed link.
-    void transmit_in_task(NetMessage msg, CpuContext& ctx);
+    void transmit_in_task(NetMessage msg, CpuContext& ctx) override;
 
     /// Convenience for timer-driven sends: posts a task that transmits.
     void post_transmit(NetMessage msg);

@@ -7,6 +7,45 @@
 
 namespace gossipc {
 
+trace::PayloadInfo paxos_payload_info(const MessageBody& body) {
+    trace::PayloadInfo info;
+    if (body.kind() != BodyKind::Paxos) return info;
+    const auto& pm = static_cast<const PaxosMessage&>(body);
+    info.type = static_cast<std::int16_t>(pm.type());
+    info.type_name = paxos_msg_type_name(pm.type());
+    info.group = pm.group();
+    switch (pm.type()) {
+        case PaxosMsgType::Phase2a:
+            info.instance = static_cast<const Phase2aMsg&>(pm).instance();
+            break;
+        case PaxosMsgType::Phase2b:
+            info.instance = static_cast<const Phase2bMsg&>(pm).instance();
+            break;
+        case PaxosMsgType::Phase2bAggregate:
+            info.instance = static_cast<const Phase2bAggregateMsg&>(pm).instance();
+            break;
+        case PaxosMsgType::Decision:
+            info.instance = static_cast<const DecisionMsg&>(pm).instance();
+            break;
+        case PaxosMsgType::LearnRequest:
+            info.instance = static_cast<const LearnRequestMsg&>(pm).instance();
+            break;
+        case PaxosMsgType::GroupBatch:
+            // Spans groups by construction: joinable per entry, not per
+            // envelope.
+            info.group = -1;
+            break;
+        case PaxosMsgType::ClientValue:
+        case PaxosMsgType::Phase1a:
+        case PaxosMsgType::Phase1b:
+        case PaxosMsgType::Heartbeat:
+            // Not bound to a single consensus instance; traced with the
+            // type tag only.
+            break;
+    }
+    return info;
+}
+
 PaxosProcess::PaxosProcess(const PaxosConfig& config, Transport& transport,
                            FailureDetector* shared_detector)
     : config_(config),

@@ -28,7 +28,13 @@ namespace gossipc {
 
 namespace trace {
 class Tracer;
+struct PayloadInfo;
 }
+
+/// The lifecycle tracer's payload probe for Paxos bodies
+/// (trace::Tracer::set_payload_probe): message type, consensus group and,
+/// where one applies, instance. Other bodies yield an empty PayloadInfo.
+trace::PayloadInfo paxos_payload_info(const MessageBody& body);
 
 class PaxosProcess {
 public:

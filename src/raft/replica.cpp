@@ -30,7 +30,7 @@ void RaftReplica::submit(const Value& value, CpuContext& ctx) {
 }
 
 void RaftReplica::post_submit(const Value& value) {
-    gossip_.node().post([this, value](CpuContext& ctx) { submit(value, ctx); });
+    gossip_.host().post([this, value](CpuContext& ctx) { submit(value, ctx); });
 }
 
 void RaftReplica::replicate(const Value& value, CpuContext& ctx) {

@@ -2,30 +2,37 @@
 
 #include <utility>
 
-#include "gossip/gossip_node.hpp"
 #include "wire/codec.hpp"
 
 namespace gossipc::runtime {
 
 RealTransport::RealTransport(Reactor& reactor, PeerChannel& chan, Params params,
                              GossipHooks& hooks)
-    : reactor_(reactor),
-      chan_(chan),
-      params_(std::move(params)),
-      hooks_(hooks),
-      seen_(params_.seen_cache_capacity),
-      queues_(params_.neighbors.size()) {
+    : reactor_(reactor), chan_(chan), mode_(params.mode) {
     chan_.set_body_handler(
         [this](ProcessId from, std::span<const std::uint8_t> payload) {
             on_body(from, payload);
         });
-    if (params_.mode == Mode::Direct) {
+    if (mode_ == Mode::Direct) {
         for (ProcessId p = 0; p < chan_.size(); ++p) {
             if (p != self()) chan_.link(p);
         }
-    } else {
-        for (const ProcessId p : params_.neighbors) chan_.link(p);
+        return;
     }
+    for (const ProcessId p : params.neighbors) chan_.link(p);
+    GossipNode::Params gp;
+    gp.seen_cache_capacity = params.seen_cache_capacity;
+    // Real CPU is the cost here; the modelled hook costs would only skew
+    // the tasks' virtual clocks.
+    gp.validate_cost = SimTime::zero();
+    gp.aggregate_cost_per_msg = SimTime::zero();
+    Host& host = *this;
+    gossip_ = std::make_unique<GossipNode>(host, std::move(params.neighbors), gp, hooks);
+    gossip_->set_deliver([this](const GossipAppMessage& msg, CpuContext& ctx) {
+        if (msg.payload && msg.payload->kind() == BodyKind::Paxos) {
+            deliver_up(std::static_pointer_cast<const PaxosMessage>(msg.payload), ctx);
+        }
+    });
 }
 
 RealTransport::~RealTransport() {
@@ -34,54 +41,47 @@ RealTransport::~RealTransport() {
     for (const Reactor::TimerId id : timers_) reactor_.cancel_timer(id);
 }
 
-void RealTransport::add_neighbor(ProcessId peer) {
-    if (params_.mode != Mode::Gossip || peer == self()) return;
-    for (std::size_t i = 0; i < params_.neighbors.size(); ++i) {
-        if (params_.neighbors[i] == peer) {
-            queues_[i].active = true;  // revive the tombstoned slot
-            chan_.link(peer);
-            return;
-        }
-    }
-    params_.neighbors.push_back(peer);
-    queues_.emplace_back();
+RealTransport::Counters RealTransport::counters() const {
+    Counters c;
+    if (gossip_) static_cast<GossipNode::Counters&>(c) = gossip_->counters();
+    c.decode_errors = decode_errors_;
+    return c;
+}
+
+void RealTransport::set_tracer(trace::Tracer* tracer) {
+    if (gossip_) gossip_->set_tracer(tracer);
+}
+
+void RealTransport::add_peer(ProcessId peer) {
+    if (!gossip_ || peer == self()) return;
+    gossip_->add_peer(peer);
     chan_.link(peer);
 }
 
-void RealTransport::remove_neighbor(ProcessId peer) {
-    for (std::size_t i = 0; i < params_.neighbors.size(); ++i) {
-        if (params_.neighbors[i] != peer) continue;
-        queues_[i].active = false;
-        queues_[i].pending.clear();
-        return;
-    }
+void RealTransport::remove_peer(ProcessId peer) {
+    if (gossip_) gossip_->remove_peer(peer);
 }
 
 // -- sending ----------------------------------------------------------------
 
 void RealTransport::broadcast(PaxosMessagePtr msg, CpuContext& ctx) {
     note_origination(ctx.now());
-    if (params_.mode == Mode::Direct) {
-        deliver_up(msg, ctx);  // local delivery, as with gossip broadcast
-        for (ProcessId p = 0; p < chan_.size(); ++p) {
-            if (p != self()) send_body(p, *msg);
-        }
+    if (gossip_) {
+        GossipAppMessage app;
+        app.id = msg->unique_key();
+        app.origin = self();
+        app.payload = std::move(msg);
+        gossip_->broadcast(std::move(app), ctx);
         return;
     }
-    // Gossip mode mirrors GossipNode::broadcast: register in the seen cache,
-    // deliver locally, forward to every neighbor.
-    ++counters_.broadcasts;
-    GossipAppMessage app;
-    app.id = msg->unique_key();
-    app.origin = self();
-    app.payload = std::move(msg);
-    if (!seen_.insert_if_new(app.id)) return;  // re-broadcast of a known id
-    deliver(app, ctx);
-    forward(app, /*exclude=*/-1);
+    deliver_up(msg, ctx);  // local delivery, as with gossip broadcast
+    for (ProcessId p = 0; p < chan_.size(); ++p) {
+        if (p != self()) send_body(p, *msg);
+    }
 }
 
 void RealTransport::send(ProcessId to, PaxosMessagePtr msg, CpuContext& ctx) {
-    if (params_.mode == Mode::Gossip) {
+    if (gossip_) {
         // Gossip provides no unicast: one-to-one messages are broadcast and
         // delivered to all participants (Section 3.1).
         broadcast(std::move(msg), ctx);
@@ -95,119 +95,29 @@ void RealTransport::send(ProcessId to, PaxosMessagePtr msg, CpuContext& ctx) {
     send_body(to, *msg);
 }
 
+void RealTransport::transmit_in_task(NetMessage msg, CpuContext& /*ctx*/) {
+    send_body(msg.to, *msg.body);
+}
+
 void RealTransport::send_body(ProcessId to, const MessageBody& body) {
     const std::vector<std::uint8_t> bytes = wire::encode_body(body);
-    chan_.send_body(to, bytes, reliable_over_datagrams(body, params_.mode));
-}
-
-void RealTransport::forward(const GossipAppMessage& msg, ProcessId exclude) {
-    for (std::size_t i = 0; i < params_.neighbors.size(); ++i) {
-        if (params_.neighbors[i] == exclude) continue;
-        PeerQueue& q = queues_[i];
-        if (!q.active) continue;  // churned away
-        if (q.pending.size() >= params_.peer_queue_cap) {
-            ++counters_.send_queue_drops;
-            continue;
-        }
-        q.pending.push_back(msg);
-        if (!q.drain_scheduled) {
-            q.drain_scheduled = true;
-            reactor_.post([this, i, alive = std::weak_ptr<bool>(alive_)] {
-                const auto guard = alive.lock();
-                if (!guard || !*guard) return;
-                CpuContext ctx(reactor_.now());
-                drain_peer(i, ctx);
-            });
-        }
-    }
-}
-
-void RealTransport::drain_peer(std::size_t idx, CpuContext& ctx) {
-    PeerQueue& q = queues_[idx];
-    q.drain_scheduled = false;
-    if (!q.active || q.pending.empty()) return;
-    const ProcessId peer = params_.neighbors[idx];
-    std::vector<GossipAppMessage> pending;
-    pending.swap(q.pending);
-    const std::size_t before = pending.size();
-    std::vector<GossipAppMessage> batch = hooks_.aggregate(std::move(pending), peer);
-    if (batch.size() < before) {
-        counters_.aggregated_away += before - batch.size();
-    }
-    for (const auto& m : batch) {
-        if (!hooks_.validate(m, peer)) {
-            ++counters_.filtered;
-            continue;
-        }
-        send_envelope(m, peer);
-    }
-    (void)ctx;
-}
-
-void RealTransport::send_envelope(const GossipAppMessage& msg, ProcessId peer) {
-    GossipAppMessage out = msg;
-    ++out.hops;
-    const GossipEnvelope envelope{std::move(out)};
-    const std::vector<std::uint8_t> bytes = wire::encode_body(envelope);
-    if (chan_.send_body(peer, bytes, reliable_over_datagrams(envelope, params_.mode))) {
-        ++counters_.envelopes_sent;
-    }
+    chan_.send_body(to, bytes, reliable_over_datagrams(body, mode_));
 }
 
 // -- receiving --------------------------------------------------------------
 
 void RealTransport::on_body(ProcessId from, std::span<const std::uint8_t> payload) {
-    const wire::DecodedBody decoded = wire::decode_body(payload);
+    wire::DecodedBody decoded = wire::decode_body(payload);
     if (!decoded.ok()) {
-        ++counters_.decode_errors;
+        ++decode_errors_;
         return;
     }
     CpuContext ctx(reactor_.now());
-    const MessageBody& body = *decoded.body;
-    if (body.kind() == BodyKind::Paxos) {
+    if (receive_) {
+        receive_(NetMessage{from, self(), std::move(decoded.body)}, ctx);
+    } else if (decoded.body->kind() == BodyKind::Paxos) {
         // Direct mode ships bare protocol bodies.
         deliver_up(std::static_pointer_cast<const PaxosMessage>(decoded.body), ctx);
-        return;
-    }
-    if (body.kind() == BodyKind::GossipEnvelope) {
-        on_envelope(static_cast<const GossipEnvelope&>(body).message(), from, ctx);
-    }
-    // Other kinds (pull digests, Raft) have no consumer in this transport.
-}
-
-void RealTransport::on_envelope(const GossipAppMessage& msg, ProcessId from,
-                                CpuContext& ctx) {
-    ++counters_.envelopes_received;
-    if (msg.aggregated) {
-        // Reversible aggregation: reconstruct the original messages and
-        // process each as a regular message.
-        std::vector<GossipAppMessage> originals = hooks_.disaggregate(msg);
-        for (auto& m : originals) {
-            m.hops = msg.hops;  // the originals travelled as the aggregate
-            ++counters_.messages_received;
-            accept(m, from, ctx);
-        }
-    } else {
-        ++counters_.messages_received;
-        accept(msg, from, ctx);
-    }
-}
-
-void RealTransport::accept(const GossipAppMessage& msg, ProcessId received_from,
-                           CpuContext& ctx) {
-    if (!seen_.insert_if_new(msg.id)) {
-        ++counters_.duplicates;
-        return;
-    }
-    deliver(msg, ctx);
-    forward(msg, received_from);
-}
-
-void RealTransport::deliver(const GossipAppMessage& msg, CpuContext& ctx) {
-    ++counters_.delivered;
-    hooks_.on_deliver(msg);
-    if (msg.payload && msg.payload->kind() == BodyKind::Paxos) {
-        deliver_up(std::static_pointer_cast<const PaxosMessage>(msg.payload), ctx);
     }
 }
 
@@ -266,13 +176,10 @@ bool reliable_over_datagrams(const MessageBody& body, RealTransport::Mode mode) 
 // -- timers / tasks ---------------------------------------------------------
 
 void RealTransport::schedule(SimTime delay, std::function<void(CpuContext&)> fn) {
-    reactor_.schedule_after(
-        delay, [this, fn = std::move(fn), alive = std::weak_ptr<bool>(alive_)] {
-            const auto guard = alive.lock();
-            if (!guard || !*guard) return;
-            CpuContext ctx(reactor_.now());
-            fn(ctx);
-        });
+    call_at(reactor_.now() + delay, [this, fn = std::move(fn)] {
+        CpuContext ctx(reactor_.now());
+        fn(ctx);
+    });
 }
 
 void RealTransport::schedule_every(SimTime period, std::function<void(CpuContext&)> fn) {
@@ -280,6 +187,16 @@ void RealTransport::schedule_every(SimTime period, std::function<void(CpuContext
         CpuContext ctx(reactor_.now());
         fn(ctx);
     }));
+}
+
+void RealTransport::call_at(SimTime at, std::function<void()> fn) {
+    const SimTime now = reactor_.now();
+    reactor_.schedule_after(at > now ? at - now : SimTime::zero(),
+                            [fn = std::move(fn), alive = std::weak_ptr<bool>(alive_)] {
+                                const auto guard = alive.lock();
+                                if (!guard || !*guard) return;
+                                fn();
+                            });
 }
 
 void RealTransport::post(std::function<void(CpuContext&)> fn) {

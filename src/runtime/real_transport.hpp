@@ -8,33 +8,31 @@
 // Two modes, matching the simulator's setups:
 //  * Direct — point-to-point unicast to every cluster member (the Baseline
 //    setup); broadcast fans out one encoded frame per peer.
-//  * Gossip — push dissemination over the overlay neighbors, mirroring
-//    GossipNode exactly: a recently-seen cache dedups, delivery happens on
-//    first sight, forwards go to every neighbor but the sender through
-//    per-peer pending queues drained on the event loop, and the semantic
-//    hooks (aggregate/validate/disaggregate) run at the same points —
-//    aggregate over a peer's pending batch at drain, validate per message
-//    before the wire, disaggregate on receipt of an aggregated envelope.
-//    Hop counts increment per transmission and survive the codec.
+//  * Gossip — the simulator's own GossipNode disseminates over the overlay
+//    neighbors. RealTransport is its Host (net/host.hpp): a received body is
+//    decoded and handed to the node, a transmission is encoded and queued
+//    on the channel, and posts and timers run on the reactor. So the seen
+//    cache, per-peer queues, hook order, tracer stages and invariants are
+//    the ones the simulator runs.
 //
 // CpuContext is constructed from the reactor's monotonic clock; consume()
 // advances only the context's virtual time (the real CPU cost is the real
-// CPU cost), which the protocol stack tolerates by design.
+// CPU cost), which the protocol stack tolerates by design. The gossip
+// node's modelled hook costs are zero here for the same reason.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "gossip/hooks.hpp"
-#include "gossip/seen_cache.hpp"
+#include "gossip/gossip_node.hpp"
 #include "runtime/peer_channel.hpp"
 #include "runtime/reactor.hpp"
 #include "transport/transport.hpp"
 
 namespace gossipc::runtime {
 
-class RealTransport final : public Transport {
+class RealTransport final : public Transport, private Host {
 public:
     enum class Mode { Direct, Gossip };
 
@@ -43,25 +41,14 @@ public:
         /// Overlay neighbors forwarded to in Gossip mode (ignored in Direct
         /// mode, which talks to the whole cluster).
         std::vector<ProcessId> neighbors;
+        /// The gossip node's recently-seen cache (Gossip mode).
         std::size_t seen_cache_capacity = 1 << 18;
-        /// Pending messages per peer before new forwards are dropped,
-        /// mirroring GossipNode::Params::peer_queue_cap.
-        std::size_t peer_queue_cap = 8192;
     };
 
-    /// Mirrors GossipNode::Counters where the semantics coincide, plus the
+    /// The gossip node's counters (all zero in Direct mode), plus the
     /// codec's decode_errors (a simulator run cannot have those).
-    struct Counters {
-        std::uint64_t broadcasts = 0;
-        std::uint64_t envelopes_received = 0;
-        std::uint64_t messages_received = 0;  ///< after disaggregation
-        std::uint64_t duplicates = 0;
-        std::uint64_t delivered = 0;
-        std::uint64_t filtered = 0;           ///< dropped by validate()
-        std::uint64_t aggregated_away = 0;
-        std::uint64_t envelopes_sent = 0;
-        std::uint64_t send_queue_drops = 0;   ///< peer pending-queue cap hit
-        std::uint64_t decode_errors = 0;      ///< frames that failed to decode
+    struct Counters : GossipNode::Counters {
+        std::uint64_t decode_errors = 0;  ///< bodies that failed to decode
     };
 
     /// `hooks` must outlive the transport (pass PassThroughHooks for classic
@@ -83,46 +70,43 @@ public:
     void send(ProcessId to, PaxosMessagePtr msg, CpuContext& ctx) override;
     void schedule(SimTime delay, std::function<void(CpuContext&)> fn) override;
     void schedule_every(SimTime period, std::function<void(CpuContext&)> fn) override;
+    /// Also the Host's task queue the gossip node drains its peers on.
     void post(std::function<void(CpuContext&)> fn) override;
 
-    const Counters& counters() const { return counters_; }
+    Counters counters() const;
+
+    /// Attaches the message-lifecycle tracer to the gossip node (null
+    /// detaches; Direct mode has no gossip stages to record).
+    void set_tracer(trace::Tracer* tracer);
 
     /// Overlay churn over the live runtime (Gossip mode): start/stop
-    /// forwarding to `peer`. A removed neighbor's slot is tombstoned, not
-    /// erased — pending drain tasks capture queue indices, which must stay
-    /// stable. Re-adding a removed neighbor revives its slot.
-    void add_neighbor(ProcessId peer);
-    void remove_neighbor(ProcessId peer);
-    const std::vector<ProcessId>& neighbors() const { return params_.neighbors; }
+    /// forwarding to `peer` (GossipNode::add_peer/remove_peer). Adding also
+    /// links the peer on the channel.
+    void add_peer(ProcessId peer);
+    void remove_peer(ProcessId peer);
 
 private:
+    // Host: the gossip node's process seam.
+    ProcessId id() const override { return chan_.self(); }
+    SimTime now() const override { return reactor_.now(); }
+    void call_at(SimTime at, std::function<void()> fn) override;
+    void transmit_in_task(NetMessage msg, CpuContext& ctx) override;
+    void set_receive_handler(ReceiveHandler handler) override { receive_ = std::move(handler); }
+
     void on_body(ProcessId from, std::span<const std::uint8_t> payload);
-    void on_envelope(const GossipAppMessage& msg, ProcessId from, CpuContext& ctx);
-    void accept(const GossipAppMessage& msg, ProcessId received_from, CpuContext& ctx);
-    void deliver(const GossipAppMessage& msg, CpuContext& ctx);
-    void forward(const GossipAppMessage& msg, ProcessId exclude);
-    void drain_peer(std::size_t idx, CpuContext& ctx);
-    void send_envelope(const GossipAppMessage& msg, ProcessId peer);
     void send_body(ProcessId to, const MessageBody& body);
 
     Reactor& reactor_;
     PeerChannel& chan_;
-    Params params_;
-    GossipHooks& hooks_;
-    SeenCache seen_;
-
-    struct PeerQueue {
-        std::vector<GossipAppMessage> pending;
-        bool drain_scheduled = false;
-        bool active = true;  ///< false = churned away (tombstoned slot)
-    };
-    std::vector<PeerQueue> queues_;  // parallel to params_.neighbors
+    Mode mode_;
+    ReceiveHandler receive_;
+    std::unique_ptr<GossipNode> gossip_;  ///< Gossip mode only
 
     /// Guards reactor tasks/timers posted by this transport: posts cannot
     /// be cancelled and the chaos bridge destroys transports mid-run.
     std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
     std::vector<Reactor::TimerId> timers_;  ///< periodic chains, cancelled on destroy
-    Counters counters_;
+    std::uint64_t decode_errors_ = 0;
 };
 
 /// Reliability policy over datagram channels (DESIGN.md §12): which bodies

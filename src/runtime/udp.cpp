@@ -38,8 +38,9 @@ int open_udp(const std::string& host, std::uint16_t port, std::string* err) {
         if (err) *err = std::string("socket: ") + std::strerror(errno);
         return -1;
     }
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+    // No SO_REUSEADDR: UDP has no TIME_WAIT to skip, and the flag would let
+    // a second socket bind a held port (and split its traffic) and let
+    // ephemeral binds share ports.
     if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
         if (err) *err = std::string("bind: ") + std::strerror(errno);
         ::close(fd);

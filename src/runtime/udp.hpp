@@ -21,7 +21,8 @@ namespace gossipc::runtime {
 
 /// Binds a non-blocking UDP socket on host:port (IPv4 literal or
 /// "localhost"; port 0 picks an ephemeral port — read it back with
-/// local_port). Returns the fd, or -1 with *err set.
+/// local_port). Binding a port another socket holds fails. Returns the fd,
+/// or -1 with *err set.
 int open_udp(const std::string& host, std::uint16_t port, std::string* err);
 
 class UdpChannel final : public DatagramChannel {

@@ -26,21 +26,20 @@ void GossipTransport::send(ProcessId /*to*/, PaxosMessagePtr msg, CpuContext& ct
 }
 
 void GossipTransport::schedule(SimTime delay, std::function<void(CpuContext&)> fn) {
-    Node& node = gossip_.node();
-    node.simulator().schedule_after(delay, [&node, fn = std::move(fn)] { node.post(fn); });
+    Host& host = gossip_.host();
+    host.call_at(host.now() + delay, [&host, fn = std::move(fn)] { host.post(fn); });
 }
 
 void GossipTransport::schedule_every(SimTime period, std::function<void(CpuContext&)> fn) {
-    Node& node = gossip_.node();
-    node.simulator().schedule_after(period,
-                                    [this, &node, period, fn = std::move(fn)]() mutable {
-                                        node.post(fn);
-                                        schedule_every(period, std::move(fn));
-                                    });
+    Host& host = gossip_.host();
+    host.call_at(host.now() + period, [this, &host, period, fn = std::move(fn)]() mutable {
+        host.post(fn);
+        schedule_every(period, std::move(fn));
+    });
 }
 
 void GossipTransport::post(std::function<void(CpuContext&)> fn) {
-    gossip_.node().post(std::move(fn));
+    gossip_.host().post(std::move(fn));
 }
 
 }  // namespace gossipc

@@ -18,7 +18,7 @@ public:
     /// installed by this constructor.
     explicit GossipTransport(GossipNode& gossip);
 
-    ProcessId self() const override { return gossip_.node().id(); }
+    ProcessId self() const override { return gossip_.host().id(); }
     void broadcast(PaxosMessagePtr msg, CpuContext& ctx) override;
     void send(ProcessId to, PaxosMessagePtr msg, CpuContext& ctx) override;
     void schedule(SimTime delay, std::function<void(CpuContext&)> fn) override;

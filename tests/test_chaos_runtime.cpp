@@ -140,15 +140,15 @@ public:
             hooks.overlay = &overlay_;
             hooks.drop_edge = [this](ProcessId a, ProcessId b) {
                 if (!nodes_[static_cast<std::size_t>(a)]->down)
-                    nodes_[static_cast<std::size_t>(a)]->transport->remove_neighbor(b);
+                    nodes_[static_cast<std::size_t>(a)]->transport->remove_peer(b);
                 if (!nodes_[static_cast<std::size_t>(b)]->down)
-                    nodes_[static_cast<std::size_t>(b)]->transport->remove_neighbor(a);
+                    nodes_[static_cast<std::size_t>(b)]->transport->remove_peer(a);
             };
             hooks.add_edge = [this](ProcessId a, ProcessId b) {
                 if (!nodes_[static_cast<std::size_t>(a)]->down)
-                    nodes_[static_cast<std::size_t>(a)]->transport->add_neighbor(b);
+                    nodes_[static_cast<std::size_t>(a)]->transport->add_peer(b);
                 if (!nodes_[static_cast<std::size_t>(b)]->down)
-                    nodes_[static_cast<std::size_t>(b)]->transport->add_neighbor(a);
+                    nodes_[static_cast<std::size_t>(b)]->transport->add_peer(a);
             };
         }
         bridge_ = std::make_unique<ChaosBridge>(reactor_, n, std::move(schedule),
@@ -242,7 +242,8 @@ public:
                 std::string suspects;
                 for (int p = 0; p < n_; ++p) {
                     if (det->suspects(static_cast<ProcessId>(p))) {
-                        suspects += " " + std::to_string(p);
+                        suspects += ' ';
+                        suspects += std::to_string(p);
                     }
                 }
                 std::fprintf(stderr, "  suspects:%s\n", suspects.c_str());

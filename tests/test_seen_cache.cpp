@@ -1,9 +1,8 @@
-// Unit tests: recently-seen cache and sliding Bloom filter.
+// Unit tests: the recently-seen cache.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
 #include "gossip/seen_cache.hpp"
-#include "gossip/sliding_bloom.hpp"
 
 namespace gossipc {
 namespace {
@@ -54,42 +53,6 @@ TEST(SeenCacheTest, EvictsUnderOverflow) {
     EXPECT_GT(forgotten, 90);
 }
 
-TEST(SlidingBloomTest, DetectsDuplicates) {
-    SlidingBloom bloom(1000);
-    EXPECT_TRUE(bloom.insert_if_new(7));
-    EXPECT_FALSE(bloom.insert_if_new(7));
-    EXPECT_TRUE(bloom.probably_contains(7));
-}
-
-TEST(SlidingBloomTest, RejectsZeroCapacity) {
-    EXPECT_THROW(SlidingBloom(0), std::invalid_argument);
-}
-
-TEST(SlidingBloomTest, FalsePositiveRateNearOnePercent) {
-    SlidingBloom bloom(10000);
-    Rng rng(2);
-    for (int i = 0; i < 9000; ++i) bloom.insert_if_new(rng.next_u64());
-    int false_positives = 0;
-    const int kProbes = 20000;
-    for (int i = 0; i < kProbes; ++i) {
-        // Fresh ids from an independent stream.
-        if (bloom.probably_contains(mix64(0xabcdef ^ static_cast<std::uint64_t>(i)))) {
-            ++false_positives;
-        }
-    }
-    EXPECT_LT(static_cast<double>(false_positives) / kProbes, 0.05);
-}
-
-TEST(SlidingBloomTest, SlidesGenerations) {
-    SlidingBloom bloom(100);
-    for (std::uint64_t id = 1; id <= 1000; ++id) bloom.insert_if_new(id);
-    EXPECT_GT(bloom.generation_rotations(), 0u);
-    // Recent generation is still remembered.
-    EXPECT_TRUE(bloom.probably_contains(1000));
-    // Ids older than two generations are forgotten.
-    EXPECT_FALSE(bloom.probably_contains(1));
-}
-
 TEST(SeenCacheTest, CapacityReportsRequestedAndSlotCountRoundedUp) {
     // 1000 rounds up to 256 sets x 4 ways = 1024 slots; capacity() must keep
     // reporting what the caller asked for.
@@ -100,35 +63,6 @@ TEST(SeenCacheTest, CapacityReportsRequestedAndSlotCountRoundedUp) {
     SeenCache exact(1 << 10);
     EXPECT_EQ(exact.capacity(), 1u << 10);
     EXPECT_EQ(exact.slot_count(), 1u << 10);
-}
-
-TEST(SlidingBloomTest, RefreshedIdSurvivesTwoGenerationsPastLastTouch) {
-    // Regression: an id found only in previous_ must be re-set into current_,
-    // so a still-hot id survives rotations as long as it keeps being touched.
-    SlidingBloom bloom(100);
-    ASSERT_TRUE(bloom.insert_if_new(0xfeedULL));
-    // Fill until one rotation: 0xfeed now lives only in previous_.
-    const auto first = bloom.generation_rotations();
-    for (std::uint64_t id = 1; bloom.generation_rotations() == first; ++id) {
-        bloom.insert_if_new(0x100000 + id);
-    }
-    // Still a duplicate, but the touch must refresh it into current_.
-    EXPECT_FALSE(bloom.insert_if_new(0xfeedULL));
-    // Force a second rotation; before the fix 0xfeed was forgotten here.
-    const auto second = bloom.generation_rotations();
-    for (std::uint64_t id = 1; bloom.generation_rotations() == second; ++id) {
-        bloom.insert_if_new(0x200000 + id);
-    }
-    EXPECT_TRUE(bloom.probably_contains(0xfeedULL));
-}
-
-TEST(SlidingBloomTest, RecentWindowRetained) {
-    SlidingBloom bloom(1000);
-    for (std::uint64_t id = 1; id <= 1500; ++id) bloom.insert_if_new(id);
-    // The last generation's worth of ids must still be present.
-    int seen = 0;
-    for (std::uint64_t id = 1400; id <= 1500; ++id) seen += bloom.probably_contains(id) ? 1 : 0;
-    EXPECT_EQ(seen, 101);
 }
 
 }  // namespace
