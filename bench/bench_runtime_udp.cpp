@@ -1,11 +1,12 @@
 // Runtime transport bench (DESIGN.md §12): UDP vs TCP delivery reliability
 // and latency under injected datagram loss.
 //
-// Every leg runs the real runtime stack — Reactor, RealTransport,
-// PaxosProcess, PaxosSemantics — inside one process and orders the same
-// client-value workload; what varies is the channel underneath:
+// Every leg runs the real runtime stack — one runtime::NodeStack per node
+// (Reactor, RealTransport, the gated shard, PaxosSemantics) inside one
+// process — and orders the same client-value workload; what varies is the
+// channel underneath:
 //
-//   tcp_semantic            ConnectionManager over real loopback sockets
+//   tcp_semantic            TCP streams over real loopback sockets
 //                           (the clean-path reference)
 //   udp_semantic            UdpLink over the in-process datagram harness,
 //                           no faults
@@ -22,7 +23,8 @@
 // Per leg: ordered fraction, client-observed latency p50/p99, datagram
 // delivery fraction, retransmits, duplicate deliveries. Unlike the
 // simulator benches these run on the wall clock, so the pinned baseline
-// tracks ballpark shifts, not exact values.
+// tracks ballpark shifts, not exact values. The bench exits non-zero when a
+// leg leaves any value unordered.
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -31,35 +33,24 @@
 
 #include "bench_common.hpp"
 #include "fault/datagram_faults.hpp"
-#include "gossip/hooks.hpp"
 #include "overlay/random_overlay.hpp"
-#include "paxos/process.hpp"
-#include "runtime/conn_manager.hpp"
 #include "runtime/lossy_link.hpp"
-#include "runtime/real_transport.hpp"
+#include "runtime/node_stack.hpp"
 #include "runtime/tcp.hpp"
-#include "runtime/udp_link.hpp"
-#include "semantic/paxos_semantics.hpp"
 #include "stats/histogram.hpp"
 
 namespace gossipc::bench {
 namespace {
 
-using runtime::ConnectionManager;
 using runtime::LossyDatagramNetwork;
-using runtime::PeerChannel;
+using runtime::NodeStack;
 using runtime::Reactor;
-using runtime::RealTransport;
-using runtime::UdpLink;
-
-enum class Channel { Tcp, Udp };
 
 struct LegConfig {
-    std::string name;
-    Channel channel = Channel::Udp;
-    RealTransport::Mode mode = RealTransport::Mode::Gossip;
-    bool semantic = true;
-    fault::DatagramFaultSpec faults;
+    std::string name{};
+    bool tcp = false;
+    Setup setup = Setup::SemanticGossip;
+    fault::DatagramFaultSpec faults{};
     bool force_reliable = false;
     int n = 5;
     int values = 200;
@@ -74,16 +65,6 @@ struct LegResult {
     double duplicate_datagrams = 0.0;
 };
 
-struct BenchNode {
-    std::unique_ptr<ConnectionManager> conns;
-    std::unique_ptr<UdpLink> link;
-    PassThroughHooks pass_through;
-    std::unique_ptr<PaxosSemantics> semantics;
-    std::unique_ptr<RealTransport> transport;
-    std::unique_ptr<PaxosProcess> proc;
-    std::size_t delivered = 0;
-};
-
 LegResult run_leg(const LegConfig& leg) {
     Reactor reactor;
     const int n = leg.n;
@@ -93,7 +74,7 @@ LegResult run_leg(const LegConfig& leg) {
     std::unique_ptr<LossyDatagramNetwork> net;
     std::vector<int> listen_fds;
     std::vector<runtime::PeerAddress> cluster;
-    if (leg.channel == Channel::Udp) {
+    if (!leg.tcp) {
         net = std::make_unique<LossyDatagramNetwork>(reactor, n, /*seed=*/2026);
         net->set_default_fault(leg.faults);
     } else {
@@ -110,86 +91,51 @@ LegResult run_leg(const LegConfig& leg) {
     }
 
     const Graph overlay = make_connected_overlay(n, 42);
-    std::vector<std::unique_ptr<BenchNode>> nodes;
+    std::vector<std::size_t> delivered(static_cast<std::size_t>(n), 0);
     Histogram latencies_ms;
     std::map<std::int64_t, SimTime> submitted_at;  ///< by ValueId seq (node 0 owns all)
+    std::vector<std::unique_ptr<NodeStack>> nodes;
 
     for (int i = 0; i < n; ++i) {
-        auto node = std::make_unique<BenchNode>();
-        PeerChannel* chan = nullptr;
-        if (leg.channel == Channel::Udp) {
-            UdpLink::Params lp;
-            lp.force_reliable = leg.force_reliable;
-            node->link = std::make_unique<UdpLink>(reactor, i, n, net->endpoint(i), lp);
-            chan = node->link.get();
+        NodeStack::Params sp;
+        sp.setup = leg.setup;
+        sp.paxos.n = n;
+        sp.paxos.id = i;
+        sp.neighbors = overlay.neighbors(i);
+        sp.link.force_reliable = leg.force_reliable;
+        NodeStack::Channel channel;
+        if (leg.tcp) {
+            channel.cluster = cluster;
+            channel.bound_fd = listen_fds[static_cast<std::size_t>(i)];
         } else {
-            node->conns = std::make_unique<ConnectionManager>(
-                reactor, i, cluster, listen_fds[static_cast<std::size_t>(i)],
-                ConnectionManager::Params{});
-            chan = node->conns.get();
+            channel.kind = NodeStack::Channel::Kind::Endpoint;
+            channel.endpoint = &net->endpoint(i);
         }
-
-        PaxosConfig pc;
-        pc.n = n;
-        pc.id = i;
-        pc.coordinator = 0;
-        pc.heartbeat_piggyback = !leg.semantic;
-
-        GossipHooks* hooks = &node->pass_through;
-        if (leg.semantic) {
-            node->semantics = std::make_unique<PaxosSemantics>(i, pc.quorum(),
-                                                               PaxosSemantics::Options{});
-            hooks = node->semantics.get();
-        }
-
-        RealTransport::Params tp;
-        tp.mode = leg.mode;
-        if (leg.mode == RealTransport::Mode::Gossip) tp.neighbors = overlay.neighbors(i);
-        node->transport = std::make_unique<RealTransport>(reactor, *chan, std::move(tp),
-                                                          *hooks);
-        node->proc = std::make_unique<PaxosProcess>(pc, *node->transport);
-        BenchNode* raw = node.get();
-        auto* lat = &latencies_ms;
-        auto* sub = &submitted_at;
-        auto* r = &reactor;
-        const bool timing_node = i == 0;
-        node->proc->set_delivery_listener(
-            [raw, lat, sub, r, timing_node](InstanceId, const Value& value, CpuContext&) {
-                ++raw->delivered;
-                if (!timing_node) return;
-                if (const auto it = sub->find(value.id.seq); it != sub->end()) {
-                    lat->add((r->now() - it->second).as_nanos() / 1e6);
-                    sub->erase(it);
+        nodes.push_back(std::make_unique<NodeStack>(reactor, std::move(sp), std::move(channel)));
+        nodes.back()->shard().process(0).set_delivery_listener(
+            [&, i](InstanceId, const Value& value, CpuContext&) {
+                ++delivered[static_cast<std::size_t>(i)];
+                if (i != 0) return;
+                if (const auto it = submitted_at.find(value.id.seq); it != submitted_at.end()) {
+                    latencies_ms.add((reactor.now() - it->second).as_nanos() / 1e6);
+                    submitted_at.erase(it);
                 }
             });
-        nodes.push_back(std::move(node));
     }
 
-    if (leg.channel == Channel::Tcp) {
+    if (leg.tcp) {
         // Wait for the TCP mesh; UDP needs no handshake.
         reactor.run_until(
             [&] {
-                for (int i = 0; i < n; ++i) {
-                    for (const ProcessId p : (leg.mode == RealTransport::Mode::Gossip
-                                                  ? overlay.neighbors(i)
-                                                  : [&] {
-                                                        std::vector<ProcessId> all;
-                                                        for (ProcessId q = 0; q < n; ++q) {
-                                                            if (q != i) all.push_back(q);
-                                                        }
-                                                        return all;
-                                                    }())) {
-                        if (!nodes[static_cast<std::size_t>(i)]->conns->peer_up(p)) {
-                            return false;
-                        }
-                    }
+                for (const auto& node : nodes) {
+                    if (!node->links_up()) return false;
                 }
                 return true;
             },
             SimTime::seconds(10));
     }
 
-    for (auto& node : nodes) node->proc->post_start();
+    for (auto& node : nodes) node->shard().post_start();
 
     // All values are submitted by node 0, which also timestamps them; a
     // paced drip (one value per 500us) keeps queueing delay out of the
@@ -202,14 +148,14 @@ LegResult run_leg(const LegConfig& leg) {
         value.id = ValueId{0, next};
         submitted_at[next] = reactor.now();
         ++next;
-        nodes[0]->proc->post_submit(value);
+        nodes[0]->submit(value);
     });
 
     const bool converged = reactor.run_until(
         [&] {
             if (next < total) return false;
-            for (const auto& node : nodes) {
-                if (node->delivered < static_cast<std::size_t>(total)) return false;
+            for (const std::size_t d : delivered) {
+                if (d < static_cast<std::size_t>(total)) return false;
             }
             return true;
         },
@@ -222,7 +168,7 @@ LegResult run_leg(const LegConfig& leg) {
 
     LegResult out;
     std::size_t min_delivered = static_cast<std::size_t>(total);
-    for (const auto& node : nodes) min_delivered = std::min(min_delivered, node->delivered);
+    for (const std::size_t d : delivered) min_delivered = std::min(min_delivered, d);
     out.ordered_fraction = static_cast<double>(min_delivered) / total;
     if (!latencies_ms.empty()) {
         out.p50_ms = latencies_ms.percentile(50);
@@ -231,13 +177,16 @@ LegResult run_leg(const LegConfig& leg) {
     if (net) {
         const auto& c = net->counters();
         const double offered = static_cast<double>(c.sent + c.duplicated);
-        if (offered > 0) out.datagram_delivery = static_cast<double>(c.delivered) / offered;
+        if (offered > 0) out.datagram_delivery = static_cast<double>(net->delivered()) / offered;
     }
     for (const auto& node : nodes) {
-        if (!node->link) continue;
-        const auto& c = node->link->counters();
-        out.retransmits += static_cast<double>(c.retransmits + c.fast_retransmits);
-        out.duplicate_datagrams += static_cast<double>(c.duplicate_datagrams);
+        MetricsRegistry reg;
+        node->fill_metrics(reg);
+        if (leg.tcp) continue;
+        out.retransmits += static_cast<double>(reg.counter("udp.link.retransmits").value +
+                                               reg.counter("udp.link.fast_retransmits").value);
+        out.duplicate_datagrams +=
+            static_cast<double>(reg.counter("udp.link.duplicate_datagrams").value);
     }
     return out;
 }
@@ -256,47 +205,22 @@ int main() {
     loss20.duplicate = 0.10;
     loss20.reorder_window = SimTime::millis(2);
 
-    std::vector<LegConfig> legs;
-    {
-        LegConfig leg;
-        leg.name = "tcp_semantic";
-        leg.channel = Channel::Tcp;
-        legs.push_back(leg);
-    }
-    {
-        LegConfig leg;
-        leg.name = "udp_semantic";
-        legs.push_back(leg);
-    }
-    {
-        LegConfig leg;
-        leg.name = "udp_semantic_loss20";
-        leg.faults = loss20;
-        legs.push_back(leg);
-    }
-    {
-        LegConfig leg;
-        leg.name = "udp_tcplike_loss20";
-        leg.faults = loss20;
-        leg.force_reliable = true;
-        legs.push_back(leg);
-    }
-    {
-        LegConfig leg;
-        leg.name = "udp_direct_loss20";
-        leg.mode = RealTransport::Mode::Direct;
-        leg.semantic = false;
-        leg.faults = loss20;
-        leg.n = 3;
-        legs.push_back(leg);
-    }
+    const std::vector<LegConfig> legs = {
+        {.name = "tcp_semantic", .tcp = true},
+        {.name = "udp_semantic"},
+        {.name = "udp_semantic_loss20", .faults = loss20},
+        {.name = "udp_tcplike_loss20", .faults = loss20, .force_reliable = true},
+        {.name = "udp_direct_loss20", .setup = Setup::Baseline, .faults = loss20, .n = 3},
+    };
 
     BenchReport report("runtime_udp");
     std::printf("%-22s %8s %9s %9s %9s %9s %7s\n", "leg", "ordered", "p50_ms",
                 "p99_ms", "dgram_ok", "retx", "dups");
     print_rule();
+    bool all_ordered = true;
     for (const auto& leg : legs) {
         const LegResult r = run_leg(leg);
+        all_ordered = all_ordered && r.ordered_fraction >= 1.0;
         std::printf("%-22s %8.4f %9.3f %9.3f %9.4f %9.0f %7.0f\n", leg.name.c_str(),
                     r.ordered_fraction, r.p50_ms, r.p99_ms, r.datagram_delivery,
                     r.retransmits, r.duplicate_datagrams);
@@ -307,5 +231,9 @@ int main() {
         report.add(leg.name + ".retransmits", r.retransmits, "count", false);
     }
     report.write();
+    if (!all_ordered) {
+        std::fprintf(stderr, "bench_runtime_udp: a leg left values unordered\n");
+        return 1;
+    }
     return 0;
 }

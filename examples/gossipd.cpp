@@ -1,8 +1,8 @@
 // gossipd — one gossip-consensus node as a real OS process (DESIGN.md §10).
 //
 // Runs the unmodified protocol stack (PaxosProcess + FailureDetector) over
-// the real-socket runtime: the wire codec, the poll reactor, and — behind a
-// RealTransport — either the TCP connection manager or the UDP link layer
+// the real-socket runtime, assembled by runtime::NodeStack: the wire codec,
+// the poll reactor, and either TCP streams or the UDP link layer
 // (--transport udp: clustered datagrams with reliable-unordered repair for
 // flagged control traffic, DESIGN.md §12). An n-node cluster is n of these
 // processes; scripts/cluster_local.sh launches one on localhost.
@@ -20,28 +20,20 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <map>
 #include <memory>
-#include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "fault/chaos.hpp"
-#include "fault/datagram_faults.hpp"
-#include "group/shard.hpp"
 #include "overlay/random_overlay.hpp"
 #include "paxos/message.hpp"
-#include "paxos/process.hpp"
 #include "runtime/chaos_bridge.hpp"
-#include "runtime/gated_transport.hpp"
-#include "runtime/real_transport.hpp"
-#include "runtime/tcp.hpp"
-#include "runtime/udp.hpp"
-#include "runtime/udp_link.hpp"
-#include "semantic/paxos_semantics.hpp"
+#include "runtime/lossy_link.hpp"
+#include "runtime/node_stack.hpp"
+#include "runtime/runtime_metrics.hpp"
 #include "trace/tracer.hpp"
 #include "wire/codec.hpp"
 
@@ -105,9 +97,8 @@ void on_signal(int) { g_signal = 1; }
 struct Options {
     ProcessId id = -1;
     std::vector<PeerAddress> cluster;
-    RealTransport::Mode mode = RealTransport::Mode::Gossip;
+    Setup setup = Setup::SemanticGossip;
     bool udp = false;
-    bool semantic = true;
     int groups = 1;
     int degree = 0;
     std::uint64_t overlay_seed = 42;
@@ -198,14 +189,11 @@ Options parse_options(int argc, char** argv) {
         } else if (arg == "--setup") {
             const std::string v = next();
             if (v == "baseline") {
-                opt.mode = RealTransport::Mode::Direct;
-                opt.semantic = false;
+                opt.setup = Setup::Baseline;
             } else if (v == "gossip") {
-                opt.mode = RealTransport::Mode::Gossip;
-                opt.semantic = false;
+                opt.setup = Setup::Gossip;
             } else if (v == "semantic") {
-                opt.mode = RealTransport::Mode::Gossip;
-                opt.semantic = true;
+                opt.setup = Setup::SemanticGossip;
             } else {
                 usage(argv[0], "bad --setup (want baseline|gossip|semantic)");
             }
@@ -277,193 +265,6 @@ Options parse_options(int argc, char** argv) {
     return opt;
 }
 
-// Applies the chaos schedule's link-fault lanes at this node's socket
-// boundary. Each directed link from->to is enforced exactly once, by the
-// sending process, with the same pure (seed, from, to, seq) fate model the
-// in-process lossy harness uses — so a datagram lost between two gossipd
-// processes on loopback was lost because the schedule said so, not because
-// the kernel happened to drop it. The wrapper sits between UdpLink and the
-// real UdpChannel; the channel is swapped out across crash/restart (the
-// socket is torn down and rebound), so it is held by pointer and delayed
-// deliveries check it at fire time.
-class ChaosDatagramChannel final : public DatagramChannel {
-public:
-    ChaosDatagramChannel(Reactor& reactor, ProcessId self, std::uint64_t seed)
-        : reactor_(reactor), self_(self), model_(seed) {}
-
-    void set_inner(DatagramChannel* inner) { inner_ = inner; }
-    void set_fault(ProcessId to, const fault::DatagramFaultSpec& spec) {
-        specs_[to] = spec;
-    }
-    void clear_fault(ProcessId to) { specs_.erase(to); }
-
-    bool send(ProcessId to, std::span<const std::uint8_t> datagram) override {
-        if (inner_ == nullptr) return false;
-        const auto it = specs_.find(to);
-        if (it == specs_.end() || !it->second.active()) {
-            return inner_->send(to, datagram);
-        }
-        const auto fate = model_.decide(it->second, self_, to, seq_[to]++);
-        if (fate.drop) return true;  // consumed by the wire, like real loss
-        std::vector<std::uint8_t> bytes(datagram.begin(), datagram.end());
-        if (fate.truncated) {
-            bytes.resize(static_cast<std::size_t>(
-                static_cast<double>(bytes.size()) * fate.keep_frac));
-        }
-        const SimTime base = it->second.extra_delay;
-        if (fate.duplicate) deliver(to, bytes, base + fate.duplicate_delay);
-        deliver(to, std::move(bytes), base + fate.delay);
-        return true;
-    }
-    void set_receive_handler(RecvFn fn) override {
-        recv_fn_ = std::move(fn);
-        if (inner_ != nullptr) inner_->set_receive_handler(recv_fn_);
-    }
-    std::size_t max_datagram_bytes() const override {
-        return inner_ != nullptr ? inner_->max_datagram_bytes() : 0;
-    }
-
-private:
-    void deliver(ProcessId to, std::vector<std::uint8_t> bytes, SimTime delay) {
-        if (delay == SimTime::zero()) {
-            inner_->send(to, std::span<const std::uint8_t>(bytes));
-            return;
-        }
-        reactor_.schedule_after(delay, [this, to, bytes = std::move(bytes)] {
-            if (inner_ != nullptr) {
-                inner_->send(to, std::span<const std::uint8_t>(bytes));
-            }
-        });
-    }
-
-    Reactor& reactor_;
-    ProcessId self_;
-    fault::DatagramFaultModel model_;
-    DatagramChannel* inner_ = nullptr;
-    RecvFn recv_fn_;
-    std::map<ProcessId, fault::DatagramFaultSpec> specs_;
-    std::map<ProcessId, std::uint64_t> seq_;
-};
-
-void dump_metrics(std::FILE* out, const Options& opt, const RealTransport* transport,
-                  const ConnectionManager* conns, const UdpLink* udp,
-                  const group::GroupShard& shard, const PaxosSemantics* semantics,
-                  const GatedTransport* gate, const ChaosBridge* bridge) {
-    const auto put = [out](const char* key, std::uint64_t v) {
-        std::fprintf(out, "%s %llu\n", key, static_cast<unsigned long long>(v));
-    };
-    std::fprintf(out, "node %d\n", opt.id);
-    // Learner and protocol counters are summed across the node's groups; the
-    // single-group dump is unchanged. With --groups > 1 each group's learner
-    // also gets its own pair of lines for per-shard inspection.
-    PaxosProcess::Counters pc;
-    std::uint64_t frontier_sum = 0, delivered_sum = 0;
-    for (GroupId g = 0; g < shard.num_groups(); ++g) {
-        const PaxosProcess& proc = shard.process(g);
-        frontier_sum += static_cast<std::uint64_t>(proc.learner().frontier());
-        delivered_sum += proc.learner().delivered_count();
-        const auto& c = proc.counters();
-        pc.values_submitted += c.values_submitted;
-        pc.messages_handled += c.messages_handled;
-        pc.takeovers += c.takeovers;
-        pc.step_downs += c.step_downs;
-        if (shard.num_groups() > 1) {
-            std::fprintf(out, "learner.g%d.frontier %llu\n", g,
-                         static_cast<unsigned long long>(proc.learner().frontier()));
-            std::fprintf(out, "learner.g%d.delivered %llu\n", g,
-                         static_cast<unsigned long long>(
-                             proc.learner().delivered_count()));
-        }
-    }
-    put("learner.frontier", frontier_sum);
-    put("learner.delivered", delivered_sum);
-    put("paxos.values_submitted", pc.values_submitted);
-    put("paxos.messages_handled", pc.messages_handled);
-    put("paxos.takeovers", pc.takeovers);
-    put("paxos.step_downs", pc.step_downs);
-    if (shard.num_groups() > 1) {
-        const auto& dc = shard.dispatcher().counters();
-        put("group.routed", dc.routed);
-        put("group.heartbeats_fanned", dc.heartbeats_fanned);
-        put("group.unroutable", dc.unroutable);
-    }
-    if (transport) {  // null when the run ended with the node crashed
-        const RealTransport::Counters tc = transport->counters();
-        put("transport.broadcasts", tc.broadcasts);
-        put("transport.envelopes_received", tc.envelopes_received);
-        put("transport.messages_received", tc.messages_received);
-        put("transport.duplicates", tc.duplicates);
-        put("transport.delivered", tc.delivered);
-        put("transport.filtered", tc.filtered);
-        put("transport.aggregated_away", tc.aggregated_away);
-        put("transport.envelopes_sent", tc.envelopes_sent);
-        put("transport.send_queue_drops", tc.send_queue_drops);
-        put("transport.bad_aggregates", tc.bad_aggregates);
-        put("transport.decode_errors", tc.decode_errors);
-    }
-    if (conns) {
-        const auto& cc = conns->counters();
-        put("conn.dials", cc.dials);
-        put("conn.accepts", cc.accepts);
-        put("conn.links_up", cc.links_up);
-        put("conn.disconnects", cc.disconnects);
-        put("conn.frames_sent", cc.frames_sent);
-        put("conn.frames_received", cc.frames_received);
-        put("conn.bytes_sent", cc.bytes_sent);
-        put("conn.bytes_received", cc.bytes_received);
-        put("conn.send_drops_down", cc.send_drops_down);
-        put("conn.send_drops_backpressure", cc.send_drops_backpressure);
-        put("conn.protocol_errors", cc.protocol_errors);
-    }
-    if (udp) {
-        const auto& uc = udp->counters();
-        put("udp.datagrams_sent", uc.datagrams_sent);
-        put("udp.datagrams_received", uc.datagrams_received);
-        put("udp.bytes_sent", uc.bytes_sent);
-        put("udp.bytes_received", uc.bytes_received);
-        put("udp.bodies_sent", uc.bodies_sent);
-        put("udp.bodies_received", uc.bodies_received);
-        put("udp.acks_only_sent", uc.acks_only_sent);
-        put("udp.jumbo_datagrams", uc.jumbo_datagrams);
-        put("udp.retransmits", uc.retransmits);
-        put("udp.fast_retransmits", uc.fast_retransmits);
-        put("udp.reliable_acked", uc.reliable_acked);
-        put("udp.reliable_dropped", uc.reliable_dropped);
-        put("udp.duplicate_datagrams", uc.duplicate_datagrams);
-        put("udp.stale_datagrams", uc.stale_datagrams);
-        put("udp.duplicate_reliables", uc.duplicate_reliables);
-        put("udp.decode_errors", uc.decode_errors);
-        put("udp.send_failures", uc.send_failures);
-    }
-    if (semantics) {
-        const auto& ss = semantics->stats();
-        put("semantic.filtered_phase2b", ss.filtered_phase2b);
-        put("semantic.aggregates_built", ss.aggregates_built);
-        put("semantic.messages_merged", ss.messages_merged);
-        put("semantic.disaggregations", ss.disaggregations);
-        put("semantic.cross_group_batches", ss.cross_group_batches);
-        put("semantic.cross_group_merged", ss.cross_group_merged);
-    }
-    if (bridge) {
-        const auto& gc = gate->counters();
-        put("gate.dropped_sends", gc.dropped_sends);
-        put("gate.dropped_tasks", gc.dropped_tasks);
-        put("gate.attaches", gc.attaches);
-        const auto& bc = bridge->counters();
-        put("chaos.applied", bc.applied);
-        put("chaos.skipped", bc.skipped);
-        put("chaos.crashes", bc.crashes);
-        put("chaos.restarts", bc.restarts);
-        put("chaos.wipes", bc.wipes);
-        put("chaos.partitions", bc.partitions);
-        put("chaos.heals", bc.heals);
-        put("chaos.link_faults", bc.link_faults);
-        put("chaos.link_fault_ends", bc.link_fault_ends);
-        put("chaos.edges_dropped", bc.edges_dropped);
-        put("chaos.edges_added", bc.edges_added);
-    }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -476,114 +277,55 @@ int main(int argc, char** argv) {
 
     Reactor reactor;
 
-    PaxosConfig pc;
-    pc.n = n;
-    pc.id = opt.id;
-    pc.coordinator = 0;
-    pc.seed = opt.seed;
-    pc.failover_enabled = opt.failover;
-    pc.heartbeat_interval = SimTime::seconds(opt.heartbeat_s);
-    pc.suspect_after = SimTime::seconds(opt.suspect_after_s);
-    // As in the simulator deployment: semantic filtering drops redundant
-    // Phase 2b en route, so explicit heartbeats are always sent there.
-    pc.heartbeat_piggyback = !opt.semantic;
-
-    std::unique_ptr<PaxosSemantics> semantics;
-    PassThroughHooks pass_through;
-    GossipHooks* hooks = &pass_through;
-    if (opt.semantic) {
-        semantics = std::make_unique<PaxosSemantics>(opt.id, pc.quorum(),
-                                                     PaxosSemantics::Options{});
-        hooks = semantics.get();
-    }
+    NodeStack::Params sp;
+    sp.setup = opt.setup;
+    sp.groups = opt.groups;
+    sp.paxos.n = n;
+    sp.paxos.id = opt.id;
+    sp.paxos.coordinator = 0;
+    sp.paxos.seed = opt.seed;
+    sp.paxos.failover_enabled = opt.failover;
+    sp.paxos.heartbeat_interval = SimTime::seconds(opt.heartbeat_s);
+    sp.paxos.suspect_after = SimTime::seconds(opt.suspect_after_s);
 
     // Deterministic in (n, degree, seed): every node derives the same
     // overlay and connects to its own neighbors. Kept as a live object
     // because chaos churn mutates it over the run.
     std::unique_ptr<Graph> overlay;
-    std::vector<ProcessId> linked_peers;
-    if (opt.mode == RealTransport::Mode::Gossip) {
+    if (opt.setup != Setup::Baseline) {
         overlay = std::make_unique<Graph>(
             opt.degree > 0 ? make_random_overlay(n, opt.degree, opt.overlay_seed)
                            : make_connected_overlay(n, opt.overlay_seed));
-        linked_peers = overlay->neighbors(opt.id);
-    } else {
-        for (ProcessId p = 0; p < n; ++p) {
-            if (p != opt.id) linked_peers.push_back(p);
-        }
+        sp.neighbors = overlay->neighbors(opt.id);
     }
 
-    // The socket stack is short-lived when chaos is on (a crash tears it
-    // down, a restart rebinds and rebuilds it); PaxosProcess binds to the
-    // stable GatedTransport facade for its whole lifetime. Without chaos the
-    // facade stays attached forever and is pure pass-through.
-    const PeerAddress& self_addr = opt.cluster[static_cast<std::size_t>(opt.id)];
-    std::unique_ptr<ConnectionManager> conns;
-    std::unique_ptr<UdpChannel> udp_channel;
-    std::unique_ptr<ChaosDatagramChannel> chaos_channel;
-    std::unique_ptr<UdpLink> udp_link;
-    std::unique_ptr<RealTransport> transport;
-    PeerChannel* chan = nullptr;
-    std::uint8_t link_epoch = 0;
-    GatedTransport gate(reactor, opt.id);
+    NodeStack::Channel channel;
+    channel.kind = opt.udp ? NodeStack::Channel::Kind::Udp : NodeStack::Channel::Kind::Tcp;
+    channel.cluster = opt.cluster;
+    // With --transport udp the chaos schedule's link faults apply to this
+    // node's outgoing datagrams, at the sender.
+    std::unique_ptr<ChaosDatagramChannel> faults;
     if (!opt.chaos.empty() && opt.udp) {
-        chaos_channel = std::make_unique<ChaosDatagramChannel>(reactor, opt.id,
-                                                               opt.chaos_seed);
+        faults = std::make_unique<ChaosDatagramChannel>(reactor, opt.id, opt.chaos_seed);
+        channel.faults = faults.get();
     }
-    // Created before the first stack so every transport, including one a
-    // chaos restart rebuilds, records its gossip stages.
     std::unique_ptr<trace::Tracer> tracer;
     if (!opt.trace_path.empty()) {
         tracer = std::make_unique<trace::Tracer>();
         tracer->set_payload_probe(paxos_payload_info);
     }
 
-    const auto build_stack = [&]() -> bool {
-        std::string err;
-        if (opt.udp) {
-            const int fd = open_udp(self_addr.host, self_addr.port, &err);
-            if (fd < 0) {
-                std::fprintf(stderr, "gossipd: udp bind on %s:%u failed: %s\n",
-                             self_addr.host.c_str(), self_addr.port, err.c_str());
-                return false;
-            }
-            udp_channel = std::make_unique<UdpChannel>(reactor, fd, opt.cluster);
-            DatagramChannel* dchan = udp_channel.get();
-            if (chaos_channel) {
-                chaos_channel->set_inner(udp_channel.get());
-                dchan = chaos_channel.get();
-            }
-            UdpLink::Params lp;
-            lp.epoch = link_epoch;
-            udp_link = std::make_unique<UdpLink>(reactor, opt.id, n, *dchan, lp);
-            chan = udp_link.get();
-        } else {
-            const int listen_fd = listen_tcp(self_addr.host, self_addr.port, &err);
-            if (listen_fd < 0) {
-                std::fprintf(stderr, "gossipd: listen on %s:%u failed: %s\n",
-                             self_addr.host.c_str(), self_addr.port, err.c_str());
-                return false;
-            }
-            conns = std::make_unique<ConnectionManager>(reactor, opt.id, opt.cluster,
-                                                        listen_fd,
-                                                        ConnectionManager::Params{});
-            chan = conns.get();
-        }
-        RealTransport::Params tp;
-        tp.mode = opt.mode;
-        if (overlay) tp.neighbors = overlay->neighbors(opt.id);
-        transport = std::make_unique<RealTransport>(reactor, *chan, std::move(tp),
-                                                    *hooks);
-        transport->set_tracer(tracer.get());
-        gate.attach(transport.get());
-        return true;
-    };
-    if (!build_stack()) return 1;
-
-    // The node's consensus stack: one PaxosProcess per group behind a
-    // dispatcher on the gated substrate (DESIGN.md §15). --groups 1 is the
-    // degenerate shard — one facade, behaviorally the single-group stack.
-    group::GroupShard shard(pc, gate, opt.groups);
+    // One PaxosProcess per group behind a dispatcher, on a gated socket
+    // stack that --chaos may crash and restart (DESIGN.md §13, §15).
+    std::unique_ptr<NodeStack> stack;
+    try {
+        stack = std::make_unique<NodeStack>(reactor, std::move(sp), std::move(channel),
+                                            tracer.get());
+    } catch (const std::runtime_error& e) {
+        std::fprintf(stderr, "gossipd: %s\n", e.what());
+        return 1;
+    }
+    group::GroupShard& shard = stack->shard();
 
     // Chaos bridge: every node derives the identical schedule from
     // (n, profile, chaos-seed, overlay) — the same trick as the overlay
@@ -591,70 +333,44 @@ int main(int argc, char** argv) {
     // own stack, outgoing-link faults (UDP only; each directed link is
     // enforced once, at the sender), and overlay churn. The rendered fault
     // log is byte-identical across all nodes of a run.
-    std::vector<Value> submitted_values;  ///< re-offered after a wiped restart
     std::unique_ptr<ChaosBridge> bridge;
     if (!opt.chaos.empty()) {
         const ChaosProfile profile = chaos_profile_by_name(opt.chaos, argv[0]);
-        FaultSchedule schedule = generate_chaos(n, pc.coordinator, profile,
-                                                opt.chaos_seed, overlay.get(), opt.groups);
+        FaultSchedule schedule = generate_chaos(n, 0, profile, opt.chaos_seed,
+                                                overlay.get(), opt.groups);
         ChaosBridge::Hooks ch;
-        ch.crash_node = [&](ProcessId p) {
-            if (p != opt.id) return;
-            gate.detach();
-            transport.reset();
-            udp_link.reset();
-            if (chaos_channel) chaos_channel->set_inner(nullptr);
-            udp_channel.reset();
-            conns.reset();
-            chan = nullptr;
-        };
+        ch.crash_node = [&](ProcessId p) { if (p == opt.id) stack->crash(); };
         ch.restart_node = [&](ProcessId p, bool wiped) {
             if (p != opt.id) return;
-            ++link_epoch;  // fresh link incarnation: peers reset dedup state
-            if (!build_stack()) {
+            try {
+                stack->restart(wiped);
+            } catch (const std::runtime_error& e) {
+                std::fprintf(stderr, "gossipd: %s\n", e.what());
                 g_signal = 1;  // rebind failed: shut down instead of limping
-                return;
-            }
-            if (wiped) {
-                for (GroupId g = 0; g < opt.groups; ++g) {
-                    shard.process(g).wipe_state();
-                }
-                // The durable client re-offers everything this node ever
-                // submitted; coordinator value dedup absorbs re-proposals
-                // of already-decided values.
-                for (const Value& v : submitted_values) shard.post_submit(v);
             }
         };
-        if (chaos_channel) {
+        if (faults) {
             ch.set_link = [&](ProcessId from, ProcessId to,
                               const fault::DatagramFaultSpec& spec) {
-                if (from == opt.id) chaos_channel->set_fault(to, spec);
+                if (from == opt.id) faults->set_link_fault(to, spec);
             };
             ch.clear_link = [&](ProcessId from, ProcessId to) {
-                if (from == opt.id) chaos_channel->clear_fault(to);
+                if (from == opt.id) faults->clear_link_fault(to);
             };
         }
         if (overlay) {
             ch.overlay = overlay.get();
             ch.drop_edge = [&](ProcessId a, ProcessId b) {
-                if (!transport) return;
-                if (a == opt.id) transport->remove_peer(b);
-                if (b == opt.id) transport->remove_peer(a);
+                if (a == opt.id) stack->remove_peer(b);
+                if (b == opt.id) stack->remove_peer(a);
             };
             ch.add_edge = [&](ProcessId a, ProcessId b) {
-                if (!transport) return;
-                if (a == opt.id) transport->add_peer(b);
-                if (b == opt.id) transport->add_peer(a);
+                if (a == opt.id) stack->add_peer(b);
+                if (b == opt.id) stack->add_peer(a);
             };
         }
         bridge = std::make_unique<ChaosBridge>(reactor, n, std::move(schedule),
                                                std::move(ch));
-    }
-
-    if (tracer) {
-        for (GroupId g = 0; g < opt.groups; ++g) {
-            shard.process(g).set_tracer(tracer.get());
-        }
     }
 
     std::ofstream decision_log;
@@ -704,50 +420,31 @@ int main(int argc, char** argv) {
     // would otherwise leave before any TCP link exists and its retry waits
     // out a full retransmission timeout. Messages lost to stragglers after
     // the start are covered by retransmission as usual.
-    long submitted = 0;
-    bool started = false;
-    Reactor::TimerId submit_timer = 0;
-    const SimTime start_grace_deadline = reactor.now() + SimTime::seconds(3.0);
-    const auto start_protocol = [&] {
-        started = true;
-        // Arm the fault schedule relative to protocol start: the profile's
-        // quiet window then follows mesh establishment on every node.
-        if (bridge) bridge->arm();
-        shard.post_start();
-        // Client submissions, paced at --rate.
-        if (opt.submit > 0) {
-            const auto interval = SimTime::seconds(1.0 / opt.rate);
-            submit_timer = reactor.schedule_every(interval, [&] {
-                if (submitted >= opt.submit) {
-                    reactor.cancel_timer(submit_timer);
-                    return;
-                }
-                // A crashed node's client defers, exactly like the harness
-                // retrying a submission aimed at a down owner.
-                if (bridge && bridge->crashed(opt.id)) return;
-                Value v;
-                v.id = ValueId{opt.id, submitted++};
-                v.size_bytes = opt.value_size;
-                if (bridge) submitted_values.push_back(v);
-                shard.post_submit(v);
-            });
-        }
-    };
-    Reactor::TimerId mesh_poll = reactor.schedule_every(SimTime::millis(5), [&] {
-        if (started) {
-            reactor.cancel_timer(mesh_poll);
-            return;
-        }
-        bool all_up = true;
-        for (const ProcessId p : linked_peers) all_up = all_up && chan->peer_up(p);
-        if (all_up || reactor.now() >= start_grace_deadline) {
-            reactor.cancel_timer(mesh_poll);
-            start_protocol();
-        }
-    });
-
     const SimTime deadline = reactor.now() + SimTime::seconds(opt.run_for_s);
     const SimTime linger = SimTime::seconds(opt.linger_s);
+    reactor.run_until([&] { return g_signal != 0 || stack->links_up(); }, SimTime::seconds(3.0));
+    // Arm the fault schedule relative to protocol start: the profile's quiet
+    // window then follows mesh establishment on every node.
+    if (bridge) bridge->arm();
+    shard.post_start();
+    // Client submissions, paced at --rate.
+    long submitted = 0;
+    Reactor::TimerId submit_timer = 0;
+    if (opt.submit > 0) {
+        submit_timer = reactor.schedule_every(SimTime::seconds(1.0 / opt.rate), [&] {
+            if (submitted >= opt.submit) {
+                reactor.cancel_timer(submit_timer);
+                return;
+            }
+            // A crashed node's client defers, exactly like the harness
+            // retrying a submission aimed at a down owner.
+            if (!stack->up()) return;
+            Value v;
+            v.id = ValueId{opt.id, submitted++};
+            v.size_bytes = opt.value_size;
+            stack->submit(v);
+        });
+    }
     reactor.set_interrupt_check([&] {
         if (g_signal) return true;
         if (reactor.now() >= deadline) return true;
@@ -767,8 +464,12 @@ int main(int argc, char** argv) {
                              ? stderr
                              : std::fopen(opt.metrics_path.c_str(), "w");
         if (out) {
-            dump_metrics(out, opt, transport.get(), conns.get(), udp_link.get(), shard,
-                         semantics.get(), &gate, bridge.get());
+            MetricsRegistry reg;
+            stack->fill_metrics(reg);
+            if (bridge) fill_metrics(reg, bridge->counters());
+            for (const MetricsRegistry::Sample& m : reg.snapshot()) {
+                std::fprintf(out, "%s %.15g\n", m.name.c_str(), m.value);
+            }
             if (out != stderr) std::fclose(out);
         }
     }

@@ -12,18 +12,10 @@
 #include "check/paxos_invariants.hpp"
 #include "overlay/random_overlay.hpp"
 #include "paxos/message.hpp"
+#include "runtime/runtime_metrics.hpp"
 #include "wire/codec.hpp"
 
 namespace gossipc {
-
-const char* setup_name(Setup s) {
-    switch (s) {
-        case Setup::Baseline: return "Baseline";
-        case Setup::Gossip: return "Gossip";
-        case Setup::SemanticGossip: return "SemanticGossip";
-    }
-    return "?";
-}
 
 Deployment::Deployment(const ExperimentConfig& config) : config_(config) {
     if (config.n < 3) throw std::invalid_argument("Deployment: n must be >= 3");
@@ -72,24 +64,15 @@ Deployment::Deployment(const ExperimentConfig& config) : config_(config) {
         pc.retransmit_jitter_max = config.retransmit_jitter_max;
         pc.failover_enabled = config.failover;
         pc.heartbeat_interval = config.heartbeat_interval;
-        // Semantic filtering drops redundant Phase 2b en route, so origin
-        // traffic is not evidence of remote audibility: a busy acceptor
-        // would suppress its heartbeats yet look dead three hops away.
-        pc.heartbeat_piggyback = config.setup != Setup::SemanticGossip;
         pc.suspect_after = config.suspect_after;
         pc.detector_sweep_interval = config.detector_sweep_interval;
         pc.suspicion_jitter_max = config.suspicion_jitter_max;
         pc.batch_size = config.batch_size;
         pc.batch_delay = config.batch_delay;
         pc.pending_cap = config.pending_cap;
+        hooks_.push_back(apply_setup(config.setup, pc, config.semantic));
 
         if (gossip_setup) {
-            if (config.setup == Setup::SemanticGossip) {
-                hooks_.push_back(
-                    std::make_unique<PaxosSemantics>(id, pc.quorum(), config.semantic));
-            } else {
-                hooks_.push_back(std::make_unique<PassThroughHooks>());
-            }
             GossipNode::Params gp = config.gossip_params;
             gp.seed = config.seed;
             gp.strategy = config.strategy;
@@ -353,6 +336,8 @@ void Deployment::fill_metrics(const ExperimentResult& result) {
     set("net.bytes_sent", ms.bytes_sent);
     set("net.coordinator_arrivals", ms.coordinator_arrivals);
 
+    // Component counters summed over nodes (and groups), published under
+    // the names the runtime's NodeStack uses for one node.
     GossipNode::Counters gc;
     for (const auto& g : gossip_nodes_) {
         const auto& c = g->counters();
@@ -367,77 +352,15 @@ void Deployment::fill_metrics(const ExperimentResult& result) {
         gc.send_queue_drops += c.send_queue_drops;
         gc.pull_rounds += c.pull_rounds;
         gc.pull_served += c.pull_served;
-        gc.peers_added += c.peers_added;
-        gc.peers_removed += c.peers_removed;
         gc.pipelined_forwards += c.pipelined_forwards;
         gc.fanout_limited += c.fanout_limited;
         gc.fanout_widened += c.fanout_widened;
     }
-    set("gossip.broadcasts", gc.broadcasts);
-    set("gossip.envelopes_received", gc.envelopes_received);
-    set("gossip.envelopes_sent", gc.envelopes_sent);
-    set("gossip.messages_received", gc.messages_received);
-    set("gossip.duplicates", gc.duplicates);
-    set("gossip.delivered", gc.delivered);
-    set("gossip.filtered", gc.filtered);
-    set("gossip.aggregated_away", gc.aggregated_away);
-    set("gossip.send_queue_drops", gc.send_queue_drops);
-    set("gossip.pull_rounds", gc.pull_rounds);
-    set("gossip.pull_served", gc.pull_served);
+    runtime::fill_metrics(registry_, gc);
 
-    const std::vector<PaxosProcess*> all_processes = process_ptrs();
-    PaxosProcess::Counters pc;
-    for (const PaxosProcess* p : all_processes) {
-        const auto& c = p->counters();
-        pc.values_submitted += c.values_submitted;
-        pc.messages_handled += c.messages_handled;
-        pc.learn_requests_sent += c.learn_requests_sent;
-        pc.learn_requests_answered += c.learn_requests_answered;
-        pc.value_retransmissions += c.value_retransmissions;
-        for (std::size_t t = 0; t < PaxosProcess::Counters::kNumMsgTypes; ++t) {
-            pc.handled_by_type[t] += c.handled_by_type[t];
-        }
-    }
-    Coordinator::Counters cc;
-    for (const PaxosProcess* p : all_processes) {
-        if (const Coordinator* coord = p->coordinator()) {
-            const auto& c = coord->counters();
-            cc.values_shed += c.values_shed;
-            cc.batches_proposed += c.batches_proposed;
-            cc.batched_values += c.batched_values;
-            cc.timer_flushes += c.timer_flushes;
-        }
-    }
-    set("paxos.values_shed", cc.values_shed);
-    set("paxos.batches_proposed", cc.batches_proposed);
-    set("paxos.batched_values", cc.batched_values);
-    set("paxos.batch_timer_flushes", cc.timer_flushes);
-    set("gossip.pipelined_forwards", gc.pipelined_forwards);
-    set("gossip.fanout_limited", gc.fanout_limited);
-    set("gossip.fanout_widened", gc.fanout_widened);
-
-    set("paxos.values_submitted", pc.values_submitted);
-    set("paxos.messages_handled", pc.messages_handled);
-    set("paxos.learn_requests_sent", pc.learn_requests_sent);
-    set("paxos.learn_requests_answered", pc.learn_requests_answered);
-    set("paxos.value_retransmissions", pc.value_retransmissions);
+    runtime::fill_metrics(registry_, process_ptrs());
     set("paxos.decisions_at_coordinator", result.decisions_at_coordinator);
-    static constexpr const char* kHandledNames[PaxosProcess::Counters::kNumMsgTypes] = {
-        "paxos.handled.client_value",      "paxos.handled.phase1a",
-        "paxos.handled.phase1b",           "paxos.handled.phase2a",
-        "paxos.handled.phase2b",           "paxos.handled.phase2b_aggregate",
-        "paxos.handled.decision",          "paxos.handled.learn_request",
-        "paxos.handled.heartbeat",         "paxos.handled.group_batch"};
-    for (std::size_t t = 0; t < PaxosProcess::Counters::kNumMsgTypes; ++t) {
-        set(kHandledNames[t], pc.handled_by_type[t]);
-    }
-
-    set("semantic.filtered_phase2b", result.semantic.filtered_phase2b);
-    set("semantic.aggregates_built", result.semantic.aggregates_built);
-    set("semantic.messages_merged", result.semantic.messages_merged);
-    set("semantic.disaggregations", result.semantic.disaggregations);
-    set("semantic.cross_group_batches", result.semantic.cross_group_batches);
-    set("semantic.cross_group_merged", result.semantic.cross_group_merged);
+    runtime::fill_metrics(registry_, result.semantic);
 
     // Multi-group sharding (DESIGN.md §15): dispatcher activity plus one
     // decided/submitted/takeovers triple per group under paxos.g<id>.*, with
@@ -449,9 +372,7 @@ void Deployment::fill_metrics(const ExperimentResult& result) {
         dc.heartbeats_fanned += c.heartbeats_fanned;
         dc.unroutable += c.unroutable;
     }
-    set("group.routed", dc.routed);
-    set("group.heartbeats_fanned", dc.heartbeats_fanned);
-    set("group.unroutable", dc.unroutable);
+    runtime::fill_metrics(registry_, dc);
     set("paxos.groups", static_cast<std::uint64_t>(config_.groups));
     std::uint64_t decided_total = 0;
     std::uint64_t decided_min = ~0ULL;
@@ -474,12 +395,12 @@ void Deployment::fill_metrics(const ExperimentResult& result) {
     set("paxos.groups.decided_total", decided_total);
     set("paxos.groups.decided_min", decided_min);
 
-    set("failover.heartbeats_sent", result.failover.heartbeats_sent);
-    set("failover.heartbeats_suppressed", result.failover.heartbeats_suppressed);
-    set("failover.suspicions", result.failover.suspicions);
-    set("failover.restores", result.failover.restores);
-    set("failover.takeovers", result.failover.takeovers);
-    set("failover.step_downs", result.failover.step_downs);
+    FailureDetector::Counters fc;
+    fc.heartbeats_sent = result.failover.heartbeats_sent;
+    fc.heartbeats_suppressed = result.failover.heartbeats_suppressed;
+    fc.suspicions = result.failover.suspicions;
+    fc.restores = result.failover.restores;
+    runtime::fill_metrics(registry_, fc);
     set("fault.injected", result.faults_injected);
 
     set("sim.events", sim_->events_executed());

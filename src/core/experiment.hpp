@@ -20,6 +20,7 @@
 #include "overlay/graph.hpp"
 #include "paxos/process.hpp"
 #include "semantic/paxos_semantics.hpp"
+#include "semantic/setup.hpp"
 #include "sim/simulator.hpp"
 #include "stats/counters.hpp"
 #include "stats/registry.hpp"
@@ -29,10 +30,6 @@
 #include "workload/workload.hpp"
 
 namespace gossipc {
-
-enum class Setup { Baseline, Gossip, SemanticGossip };
-
-const char* setup_name(Setup s);
 
 struct ExperimentConfig {
     Setup setup = Setup::Gossip;

@@ -6,7 +6,7 @@ namespace gossipc::runtime {
 
 LossyDatagramNetwork::LossyDatagramNetwork(Reactor& reactor, int n, std::uint64_t seed,
                                            Params params)
-    : reactor_(reactor), params_(params), model_(seed) {
+    : reactor_(reactor), params_(params), faults_(seed) {
     endpoints_.reserve(static_cast<std::size_t>(n));
     for (ProcessId id = 0; id < n; ++id) {
         endpoints_.push_back(std::make_unique<Endpoint>(*this, id));
@@ -26,42 +26,23 @@ bool LossyDatagramNetwork::transmit(ProcessId from, ProcessId to,
     if (to < 0 || to >= size() || datagram.size() > params_.max_datagram_bytes) {
         return false;
     }
-    ++counters_.sent;
-    const std::uint64_t seq = ++link_seq_[{from, to}];
-    const fault::DatagramFaultSpec& spec = spec_for(from, to);
-    const fault::DatagramFate fate = model_.decide(spec, from, to, seq);
+    const auto [seq, fate] = faults_.apply(
+        spec_for(from, to), from, to, datagram,
+        [&](std::span<const std::uint8_t> bytes, SimTime delay) {
+            schedule_delivery(to, {bytes.begin(), bytes.end()}, params_.base_delay + delay);
+        });
     if (!fate.clean()) {
         log_.emplace(std::make_tuple(from, to, seq),
                      fault::DatagramFaultModel::describe(from, to, seq, fate));
     }
-    if (fate.drop) {
-        ++counters_.dropped;
-        return true;  // sent, from the sender's point of view
-    }
-    std::vector<std::uint8_t> bytes(datagram.begin(), datagram.end());
-    if (fate.truncated) {
-        ++counters_.truncated;
-        bytes.resize(static_cast<std::size_t>(
-            static_cast<double>(bytes.size()) * fate.keep_frac));
-    }
-    if (fate.delay > SimTime::zero()) ++counters_.reordered;
-    // extra_delay is a deterministic link property, not a per-datagram fate:
-    // it shifts every delivery (duplicates included) without touching the
-    // fate log.
-    const SimTime base = params_.base_delay + spec.extra_delay;
-    if (fate.duplicate) {
-        ++counters_.duplicated;
-        schedule_delivery(to, bytes, base + fate.duplicate_delay);
-    }
-    schedule_delivery(to, std::move(bytes), base + fate.delay);
-    return true;
+    return true;  // sent, from the sender's point of view, even if dropped
 }
 
 void LossyDatagramNetwork::schedule_delivery(ProcessId to, std::vector<std::uint8_t> bytes,
                                              SimTime delay) {
     auto buf = std::make_shared<std::vector<std::uint8_t>>(std::move(bytes));
     reactor_.schedule_after(delay, [this, to, buf] {
-        ++counters_.delivered;
+        ++delivered_;
         endpoints_[static_cast<std::size_t>(to)]->deliver(*buf);
     });
 }
@@ -73,6 +54,26 @@ std::string LossyDatagramNetwork::fault_log() const {
         out += '\n';
     }
     return out;
+}
+
+bool ChaosDatagramChannel::send(ProcessId to, std::span<const std::uint8_t> datagram) {
+    if (inner_ == nullptr) return false;
+    const auto it = specs_.find(to);
+    static const fault::DatagramFaultSpec kClean;
+    bool ok = true;  // a dropped datagram was consumed by the wire, like real loss
+    faults_.apply(it != specs_.end() ? it->second : kClean, self_, to, datagram,
+                  [&](std::span<const std::uint8_t> bytes, SimTime delay) {
+                      if (delay == SimTime::zero()) {
+                          ok = inner_->send(to, bytes) && ok;
+                          return;
+                      }
+                      reactor_.schedule_after(
+                          delay, [this, to, copy = std::vector<std::uint8_t>(
+                                                bytes.begin(), bytes.end())] {
+                              if (inner_ != nullptr) inner_->send(to, copy);
+                          });
+                  });
+    return ok;
 }
 
 }  // namespace gossipc::runtime

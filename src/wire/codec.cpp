@@ -1,5 +1,7 @@
 #include "wire/codec.hpp"
 
+#include <algorithm>
+#include <array>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -175,6 +177,26 @@ std::vector<ProcessId> get_senders(WireReader& in) {
     senders.reserve(count);
     for (std::uint32_t i = 0; i < count && in.ok(); ++i) senders.push_back(in.i32());
     return senders;
+}
+
+/// True when `ids` repeats an entry, without reordering them (unique_key
+/// hashes senders in order) or touching the heap: each block of kBlock
+/// entries is sorted in a stack copy and every later entry looked up in it.
+bool has_duplicates(const std::vector<ProcessId>& ids) {
+    constexpr std::size_t kBlock = 1024;
+    std::array<ProcessId, kBlock> block{};
+    for (std::size_t start = 0; start < ids.size(); start += kBlock) {
+        const std::size_t len = std::min(kBlock, ids.size() - start);
+        const auto first = block.begin();
+        const auto last = first + static_cast<std::ptrdiff_t>(len);
+        std::copy_n(ids.begin() + static_cast<std::ptrdiff_t>(start), len, first);
+        std::sort(first, last);
+        if (std::adjacent_find(first, last) != last) return true;
+        for (std::size_t i = start + len; i < ids.size(); ++i) {
+            if (std::binary_search(first, last, ids[i])) return true;
+        }
+    }
+    return false;
 }
 
 // ---- Paxos ----------------------------------------------------------------
@@ -383,6 +405,11 @@ std::shared_ptr<PaxosMessage> decode_paxos(WireReader& in, bool nested = false) 
             const ValueId id = get_value_id(in);
             const std::uint64_t digest = in.u64();
             std::vector<ProcessId> senders = get_senders(in);
+            // G-AGG-2 at the trust boundary: a vote set that is empty or
+            // counts one acceptor twice is malformed, not a message.
+            if (in.ok() && (senders.empty() || has_duplicates(senders))) {
+                in.fail(WireError::BadField);
+            }
             const std::int32_t attempt = in.i32();
             if (!in.ok()) return nullptr;
             msg = std::make_shared<Phase2bAggregateMsg>(sender, instance, round, id, digest,

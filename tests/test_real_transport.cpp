@@ -1,7 +1,7 @@
 // End-to-end tests of the real-socket runtime (DESIGN.md §10): an
-// in-process loopback cluster — every node's ConnectionManager, RealTransport,
-// and PaxosProcess live in one test process, share one Reactor, and talk
-// over real TCP sockets on ephemeral localhost ports.
+// in-process loopback cluster — every node's NodeStack lives in one test
+// process, shares one Reactor, and talks over real TCP sockets on ephemeral
+// localhost ports.
 //
 // This exercises the exact production stack (sockets, framing, codec,
 // per-peer queues, gossip dissemination, semantic hooks) without spawning
@@ -27,9 +27,7 @@
 #include "gossip/gossip_node.hpp"
 #include "gossip/hooks.hpp"
 #include "net/network.hpp"
-#include "overlay/random_overlay.hpp"
-#include "paxos/process.hpp"
-#include "runtime/conn_manager.hpp"
+#include "node_cluster.hpp"
 #include "runtime/real_transport.hpp"
 #include "runtime/tcp.hpp"
 #include "runtime/udp.hpp"
@@ -42,210 +40,70 @@
 namespace gossipc::runtime {
 namespace {
 
-struct Decision {
-    InstanceId instance;
-    ValueId value;
-
-    friend bool operator==(const Decision& a, const Decision& b) {
-        return a.instance == b.instance && a.value == b.value;
-    }
-};
-
-/// One cluster member hosted inside the test process.
-struct NodeHarness {
-    std::unique_ptr<ConnectionManager> conns;
-    PassThroughHooks pass_through;
-    std::unique_ptr<PaxosSemantics> semantics;
-    std::unique_ptr<RealTransport> transport;
-    std::unique_ptr<PaxosProcess> proc;
-    std::vector<ProcessId> linked;
-    std::vector<Decision> decisions;
-};
-
-enum class Setup { Baseline, Gossip, Semantic };
-
-class LoopbackCluster {
-public:
-    LoopbackCluster(int n, Setup setup, std::uint64_t overlay_seed = 42) : n_(n) {
-        // Ephemeral ports: bind every listener on port 0 first, read the
-        // ports back, then hand the complete address list to every manager.
-        std::vector<int> listen_fds;
-        std::vector<PeerAddress> cluster;
-        for (int i = 0; i < n; ++i) {
-            std::string err;
-            const int fd = listen_tcp("127.0.0.1", 0, &err);
-            EXPECT_GE(fd, 0) << err;
-            listen_fds.push_back(fd);
-            cluster.push_back(PeerAddress{"127.0.0.1", local_port(fd)});
-        }
-
-        const Graph overlay = make_connected_overlay(n, overlay_seed);
-        for (int i = 0; i < n; ++i) {
-            auto node = std::make_unique<NodeHarness>();
-            node->conns = std::make_unique<ConnectionManager>(
-                reactor_, i, cluster, listen_fds[static_cast<std::size_t>(i)],
-                ConnectionManager::Params{});
-
-            PaxosConfig pc;
-            pc.n = n;
-            pc.id = i;
-            pc.coordinator = 0;
-            pc.heartbeat_piggyback = setup != Setup::Semantic;
-
-            GossipHooks* hooks = &node->pass_through;
-            if (setup == Setup::Semantic) {
-                node->semantics = std::make_unique<PaxosSemantics>(
-                    i, pc.quorum(), PaxosSemantics::Options{});
-                hooks = node->semantics.get();
-            }
-
-            RealTransport::Params tp;
-            if (setup == Setup::Baseline) {
-                tp.mode = RealTransport::Mode::Direct;
-                for (ProcessId p = 0; p < n; ++p) {
-                    if (p != i) node->linked.push_back(p);
-                }
-            } else {
-                tp.mode = RealTransport::Mode::Gossip;
-                tp.neighbors = overlay.neighbors(i);
-                node->linked = tp.neighbors;
-            }
-            node->transport = std::make_unique<RealTransport>(reactor_, *node->conns,
-                                                              std::move(tp), *hooks);
-            node->proc = std::make_unique<PaxosProcess>(pc, *node->transport);
-            NodeHarness* raw = node.get();
-            node->proc->set_delivery_listener(
-                [raw](InstanceId instance, const Value& value, CpuContext&) {
-                    raw->decisions.push_back(Decision{instance, value.id});
-                });
-            nodes_.push_back(std::move(node));
-        }
-    }
-
-    /// Waits for every overlay link's Hello handshake, then starts the stack.
-    void start() {
-        const bool mesh_up = reactor_.run_until([this] { return all_links_up(); },
-                                                SimTime::seconds(10));
-        ASSERT_TRUE(mesh_up) << "connection mesh did not come up";
-        for (auto& node : nodes_) node->proc->post_start();
-    }
-
-    /// Submits `total` values round-robin across all nodes. Sequence numbers
-    /// persist across calls so repeated waves never reuse a ValueId.
-    void submit(int total) {
-        for (int v = 0; v < total; ++v) {
-            const int owner = v % n_;
-            Value value;
-            value.id = ValueId{owner, next_seq_[static_cast<std::size_t>(owner)]++};
-            nodes_[static_cast<std::size_t>(owner)]->proc->post_submit(value);
-        }
-    }
-
-    /// Runs until every node delivered `total` decisions.
-    bool run_until_delivered(int total, SimTime limit = SimTime::seconds(60)) {
-        return reactor_.run_until(
-            [this, total] {
-                for (const auto& node : nodes_) {
-                    if (node->decisions.size() < static_cast<std::size_t>(total)) return false;
-                }
-                return true;
-            },
-            limit);
-    }
-
-    /// Every node's sequence is gap-free from instance 1 and identical to
-    /// node 0's — the cluster-wide agreement check.
-    void expect_agreement(int total) {
-        const auto& reference = nodes_[0]->decisions;
-        ASSERT_EQ(reference.size(), static_cast<std::size_t>(total));
-        for (int i = 0; i < total; ++i) {
-            EXPECT_EQ(reference[static_cast<std::size_t>(i)].instance, i + 1)
-                << "gap at position " << i;
-        }
-        for (int node = 1; node < n_; ++node) {
-            EXPECT_EQ(nodes_[static_cast<std::size_t>(node)]->decisions, reference)
-                << "node " << node << " disagrees with node 0";
-        }
-    }
-
-    bool all_links_up() const {
-        for (const auto& node : nodes_) {
-            for (const ProcessId p : node->linked) {
-                if (!node->conns->peer_up(p)) return false;
-            }
-        }
-        return true;
-    }
-
-    Reactor& reactor() { return reactor_; }
-    NodeHarness& node(int i) { return *nodes_[static_cast<std::size_t>(i)]; }
-    int size() const { return n_; }
-
-private:
-    int n_;
-    Reactor reactor_;
-    std::vector<std::unique_ptr<NodeHarness>> nodes_;
-    std::vector<std::int64_t> next_seq_ = std::vector<std::int64_t>(
-        static_cast<std::size_t>(n_), 0);
-};
-
 TEST(RealTransport, MeshComesUp) {
-    LoopbackCluster cluster(3, Setup::Baseline);
+    NodeCluster cluster({.setup = Setup::Baseline, .n = 3, .tcp = true});
     EXPECT_TRUE(cluster.reactor().run_until([&] { return cluster.all_links_up(); },
                                             SimTime::seconds(10)));
     for (int i = 0; i < cluster.size(); ++i) {
-        const auto& c = cluster.node(i).conns->counters();
-        EXPECT_GT(c.links_up, 0u) << "node " << i;
-        EXPECT_EQ(c.protocol_errors, 0u) << "node " << i;
+        MetricsRegistry reg = cluster.metrics(i);
+        EXPECT_GT(reg.counter("conn.links_up").value, 0u) << "node " << i;
+        EXPECT_EQ(reg.counter("conn.protocol_errors").value, 0u) << "node " << i;
+        // The stream layer's registry names (gclint's metrics-hygiene rule
+        // pins every literal a filler registers).
+        std::set<std::string> names;
+        for (const auto& sample : reg.snapshot()) names.insert(sample.name);
+        for (const char* name :
+             {"conn.dials", "conn.accepts", "conn.links_up", "conn.disconnects",
+              "conn.frames_sent", "conn.frames_received", "conn.bytes_sent",
+              "conn.bytes_received", "conn.send_drops_down", "conn.send_drops_backpressure",
+              "conn.protocol_errors"}) {
+            EXPECT_TRUE(names.count(name)) << "missing metric " << name;
+        }
     }
 }
 
 TEST(RealTransport, BaselineClusterAgrees) {
     constexpr int kValues = 60;
-    LoopbackCluster cluster(3, Setup::Baseline);
+    NodeCluster cluster({.setup = Setup::Baseline, .n = 3, .tcp = true});
     cluster.start();
     cluster.submit(kValues);
-    ASSERT_TRUE(cluster.run_until_delivered(kValues)) << "cluster did not converge";
+    ASSERT_TRUE(cluster.run_until_settled(kValues)) << "cluster did not converge";
     cluster.expect_agreement(kValues);
 }
 
 TEST(RealTransport, GossipClusterAgrees) {
     constexpr int kValues = 100;
-    LoopbackCluster cluster(5, Setup::Gossip);
+    NodeCluster cluster({.setup = Setup::Gossip, .n = 5, .tcp = true});
     cluster.start();
     cluster.submit(kValues);
-    ASSERT_TRUE(cluster.run_until_delivered(kValues)) << "cluster did not converge";
+    ASSERT_TRUE(cluster.run_until_settled(kValues)) << "cluster did not converge";
     cluster.expect_agreement(kValues);
 
     // Dissemination really went over the overlay: every node both sent and
     // received envelopes, and nothing failed to decode.
     for (int i = 0; i < cluster.size(); ++i) {
-        const auto& t = cluster.node(i).transport->counters();
-        EXPECT_GT(t.envelopes_sent, 0u) << "node " << i;
-        EXPECT_GT(t.envelopes_received, 0u) << "node " << i;
-        EXPECT_EQ(t.decode_errors, 0u) << "node " << i;
+        MetricsRegistry reg = cluster.metrics(i);
+        EXPECT_GT(reg.counter("gossip.envelopes_sent").value, 0u) << "node " << i;
+        EXPECT_GT(reg.counter("gossip.envelopes_received").value, 0u) << "node " << i;
+        EXPECT_EQ(reg.counter("transport.decode_errors").value, 0u) << "node " << i;
     }
 }
 
 TEST(RealTransport, SemanticClusterAgrees) {
     constexpr int kValues = 100;
     trace::Tracer tracer;
-    LoopbackCluster cluster(5, Setup::Semantic);
-    for (int i = 0; i < cluster.size(); ++i) cluster.node(i).transport->set_tracer(&tracer);
+    NodeCluster cluster({.setup = Setup::SemanticGossip, .n = 5, .tcp = true,
+                         .tracer = &tracer});
     cluster.start();
     cluster.submit(kValues);
-    ASSERT_TRUE(cluster.run_until_delivered(kValues)) << "cluster did not converge";
+    ASSERT_TRUE(cluster.run_until_settled(kValues)) << "cluster did not converge";
     cluster.expect_agreement(kValues);
 
     // The semantic hooks were live on the real wire: with 100 instances'
     // Phase 2b traffic crossing 5 nodes, at least one aggregate must have
     // been built somewhere (and survived the codec round-trip).
-    std::uint64_t aggregates = 0;
-    for (int i = 0; i < cluster.size(); ++i) {
-        aggregates += cluster.node(i).semantics->stats().aggregates_built;
-        EXPECT_EQ(cluster.node(i).transport->counters().decode_errors, 0u);
-    }
-    EXPECT_GT(aggregates, 0u);
+    EXPECT_GT(cluster.sum("semantic.aggregates_built"), 0u);
+    EXPECT_EQ(cluster.sum("transport.decode_errors"), 0u);
 
     // The runtime records the simulator's gossip stages.
     std::set<trace::Stage> stages;
@@ -263,16 +121,16 @@ TEST(RealTransport, SecondWaveAfterQuiescence) {
     // submit, wait, then submit again and require the same agreement.
     constexpr int kFirst = 30;
     constexpr int kSecond = 30;
-    LoopbackCluster cluster(3, Setup::Semantic);
+    NodeCluster cluster({.setup = Setup::SemanticGossip, .n = 3, .tcp = true});
     cluster.start();
     cluster.submit(kFirst);
-    ASSERT_TRUE(cluster.run_until_delivered(kFirst));
+    ASSERT_TRUE(cluster.run_until_settled(kFirst));
 
     // A quiescent beat on the real clock (heartbeats keep flowing).
     cluster.reactor().run_until([] { return false; }, SimTime::millis(50));
 
     cluster.submit(kSecond);
-    ASSERT_TRUE(cluster.run_until_delivered(kFirst + kSecond));
+    ASSERT_TRUE(cluster.run_until_settled(kFirst + kSecond));
     cluster.expect_agreement(kFirst + kSecond);
 }
 
@@ -436,6 +294,37 @@ TEST(OneEngine, FlaggedEnvelopesTheHooksCannotUnpackAreDroppedAtReceipt) {
     PaxosSemantics semantics(0, 2, PaxosSemantics::Options{});
     run(semantics, {flagged(wrap(std::make_shared<Phase2aMsg>(2, 1, 1, v))),
                     flagged(wrap(make_2b(2, 1, 1, v)))});
+}
+
+TEST(OneEngine, MalformedAggregatesFromAPeerAreDecodeErrors) {
+    // An aggregate whose vote set is empty or counts a sender twice used to
+    // decode, reach PaxosSemantics::validate unflagged, and abort an
+    // invariant build on G-AGG-2. The codec now rejects it at receipt.
+    const Value v = make_value(4, 1);
+    Reactor reactor;
+    MemoryChannel chan(0, 5);
+    PaxosSemantics hooks(0, 3, PaxosSemantics::Options{});
+    RealTransport::Params tp;
+    tp.mode = RealTransport::Mode::Gossip;
+    tp.neighbors = {1, 2, 3};
+    RealTransport transport(reactor, chan, tp, hooks);
+    int delivered = 0;
+    transport.set_deliver([&delivered](const PaxosMessagePtr&, CpuContext&) { ++delivered; });
+    for (std::vector<ProcessId> senders : {std::vector<ProcessId>{}, {3, 3}, {1, 2, 1}}) {
+        chan.receive(1, GossipEnvelope{wrap(std::make_shared<Phase2bAggregateMsg>(
+                            2, 1, 1, v.id, v.digest(), std::move(senders), 0))});
+    }
+    reactor.run_until([] { return false; }, SimTime::millis(5));
+    EXPECT_EQ(transport.counters().decode_errors, 3u);
+    EXPECT_EQ(transport.counters().envelopes_received, 0u);
+    EXPECT_EQ(delivered, 0);
+    EXPECT_TRUE(chan.sent.empty());
+
+    // The transport stays up: a well-formed vote is delivered and forwarded.
+    chan.receive(1, GossipEnvelope{wrap(make_2b(1, 1, 1, v))});
+    reactor.run_until([] { return false; }, SimTime::millis(5));
+    EXPECT_EQ(delivered, 1);
+    EXPECT_FALSE(chan.sent.empty());
 }
 
 // -- open_udp -----------------------------------------------------------------

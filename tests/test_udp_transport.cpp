@@ -1,8 +1,8 @@
 // UDP transport suite (DESIGN.md §12), registered under the chaos.udp.
-// ctest prefix: an in-process loopback cluster — every node's UdpLink,
-// RealTransport, and PaxosProcess share one Reactor and exchange datagrams
-// through the deterministic lossy-link harness (no real sockets), so the
-// whole thing runs byte-reproducibly under ctest and ASan/UBSan.
+// ctest prefix: an in-process loopback cluster — every node's NodeStack
+// shares one Reactor and exchanges datagrams through the deterministic
+// lossy-link harness (no real sockets), so the whole thing runs
+// byte-reproducibly under ctest and ASan/UBSan.
 //
 // The headline assertions: a cluster at 20% seeded loss plus duplication
 // and reordering still orders every client value with gap-free, identical
@@ -21,152 +21,13 @@
 #include <vector>
 
 #include "fault/datagram_faults.hpp"
-#include "gossip/hooks.hpp"
-#include "overlay/random_overlay.hpp"
-#include "paxos/process.hpp"
+#include "node_cluster.hpp"
 #include "runtime/lossy_link.hpp"
-#include "runtime/real_transport.hpp"
 #include "runtime/udp_link.hpp"
-#include "semantic/paxos_semantics.hpp"
 #include "wire/datagram.hpp"
 
 namespace gossipc::runtime {
 namespace {
-
-struct Decision {
-    InstanceId instance;
-    ValueId value;
-
-    friend bool operator==(const Decision& a, const Decision& b) {
-        return a.instance == b.instance && a.value == b.value;
-    }
-};
-
-enum class Setup { Baseline, Gossip, Semantic };
-
-/// Fast link parameters for tests: tight retransmission timers so lossy
-/// runs converge in milliseconds of wall clock, not protocol-scale seconds.
-UdpLink::Params test_link_params() {
-    UdpLink::Params p;
-    p.ack_delay = SimTime::millis(2);
-    p.rto_initial = SimTime::millis(15);
-    p.rto_sweep = SimTime::millis(5);
-    p.keepalive = SimTime::millis(50);
-    return p;
-}
-
-/// One cluster member hosted inside the test process, talking datagrams
-/// through the shared LossyDatagramNetwork.
-struct UdpNodeHarness {
-    std::unique_ptr<UdpLink> link;
-    PassThroughHooks pass_through;
-    std::unique_ptr<PaxosSemantics> semantics;
-    std::unique_ptr<RealTransport> transport;
-    std::unique_ptr<PaxosProcess> proc;
-    std::vector<Decision> decisions;
-};
-
-class UdpLoopbackCluster {
-public:
-    UdpLoopbackCluster(int n, Setup setup, std::uint64_t fault_seed,
-                       const fault::DatagramFaultSpec& spec = {},
-                       std::uint64_t overlay_seed = 42)
-        : n_(n), net_(reactor_, n, fault_seed) {
-        net_.set_default_fault(spec);
-        const Graph overlay = make_connected_overlay(n, overlay_seed);
-        for (int i = 0; i < n; ++i) {
-            auto node = std::make_unique<UdpNodeHarness>();
-            node->link = std::make_unique<UdpLink>(reactor_, i, n, net_.endpoint(i),
-                                                   test_link_params());
-
-            PaxosConfig pc;
-            pc.n = n;
-            pc.id = i;
-            pc.coordinator = 0;
-            pc.heartbeat_piggyback = setup != Setup::Semantic;
-
-            GossipHooks* hooks = &node->pass_through;
-            if (setup == Setup::Semantic) {
-                node->semantics = std::make_unique<PaxosSemantics>(
-                    i, pc.quorum(), PaxosSemantics::Options{});
-                hooks = node->semantics.get();
-            }
-
-            RealTransport::Params tp;
-            if (setup == Setup::Baseline) {
-                tp.mode = RealTransport::Mode::Direct;
-            } else {
-                tp.mode = RealTransport::Mode::Gossip;
-                tp.neighbors = overlay.neighbors(i);
-            }
-            node->transport = std::make_unique<RealTransport>(reactor_, *node->link,
-                                                              std::move(tp), *hooks);
-            node->proc = std::make_unique<PaxosProcess>(pc, *node->transport);
-            UdpNodeHarness* raw = node.get();
-            node->proc->set_delivery_listener(
-                [raw](InstanceId instance, const Value& value, CpuContext&) {
-                    raw->decisions.push_back(Decision{instance, value.id});
-                });
-            nodes_.push_back(std::move(node));
-        }
-    }
-
-    /// UDP has no handshake to await: the harness delivers from the first
-    /// datagram, so the stack starts immediately.
-    void start() {
-        for (auto& node : nodes_) node->proc->post_start();
-    }
-
-    void submit(int total) {
-        for (int v = 0; v < total; ++v) {
-            const int owner = v % n_;
-            Value value;
-            value.id = ValueId{owner, next_seq_[static_cast<std::size_t>(owner)]++};
-            nodes_[static_cast<std::size_t>(owner)]->proc->post_submit(value);
-        }
-    }
-
-    bool run_until_delivered(int total, SimTime limit = SimTime::seconds(60)) {
-        return reactor_.run_until(
-            [this, total] {
-                for (const auto& node : nodes_) {
-                    if (node->decisions.size() < static_cast<std::size_t>(total)) {
-                        return false;
-                    }
-                }
-                return true;
-            },
-            limit);
-    }
-
-    /// Every node's sequence is gap-free from instance 1 and identical to
-    /// node 0's — the cluster-wide agreement check.
-    void expect_agreement(int total) {
-        const auto& reference = nodes_[0]->decisions;
-        ASSERT_EQ(reference.size(), static_cast<std::size_t>(total));
-        for (int i = 0; i < total; ++i) {
-            EXPECT_EQ(reference[static_cast<std::size_t>(i)].instance, i + 1)
-                << "gap at position " << i;
-        }
-        for (int node = 1; node < n_; ++node) {
-            EXPECT_EQ(nodes_[static_cast<std::size_t>(node)]->decisions, reference)
-                << "node " << node << " disagrees with node 0";
-        }
-    }
-
-    Reactor& reactor() { return reactor_; }
-    LossyDatagramNetwork& net() { return net_; }
-    UdpNodeHarness& node(int i) { return *nodes_[static_cast<std::size_t>(i)]; }
-    int size() const { return n_; }
-
-private:
-    int n_;
-    Reactor reactor_;
-    LossyDatagramNetwork net_;
-    std::vector<std::unique_ptr<UdpNodeHarness>> nodes_;
-    std::vector<std::int64_t> next_seq_ = std::vector<std::int64_t>(
-        static_cast<std::size_t>(n_), 0);
-};
 
 /// 20% loss plus duplication and reordering — the acceptance-criteria
 /// fault profile.
@@ -182,34 +43,34 @@ fault::DatagramFaultSpec twenty_percent_chaos() {
 
 TEST(UdpTransport, DirectClusterAgreesOnCleanLinks) {
     constexpr int kValues = 60;
-    UdpLoopbackCluster cluster(3, Setup::Baseline, /*fault_seed=*/7);
+    NodeCluster cluster({.setup = Setup::Baseline, .n = 3, .seed = 7});
     cluster.start();
     cluster.submit(kValues);
-    ASSERT_TRUE(cluster.run_until_delivered(kValues)) << "cluster did not converge";
+    ASSERT_TRUE(cluster.run_until_settled(kValues)) << "cluster did not converge";
     cluster.expect_agreement(kValues);
     for (int i = 0; i < cluster.size(); ++i) {
-        const auto& c = cluster.node(i).link->counters();
-        EXPECT_EQ(c.decode_errors, 0u) << "node " << i;
-        EXPECT_GT(c.datagrams_sent, 0u) << "node " << i;
+        MetricsRegistry reg = cluster.metrics(i);
+        EXPECT_EQ(reg.counter("udp.link.decode_errors").value, 0u) << "node " << i;
+        EXPECT_GT(reg.counter("udp.link.datagrams_sent").value, 0u) << "node " << i;
     }
 }
 
 TEST(UdpTransport, SemanticClusterAgreesOnCleanLinks) {
     constexpr int kValues = 100;
-    UdpLoopbackCluster cluster(5, Setup::Semantic, /*fault_seed=*/7);
+    NodeCluster cluster({.setup = Setup::SemanticGossip, .n = 5, .seed = 7});
     cluster.start();
     cluster.submit(kValues);
-    ASSERT_TRUE(cluster.run_until_delivered(kValues)) << "cluster did not converge";
+    ASSERT_TRUE(cluster.run_until_settled(kValues)) << "cluster did not converge";
     cluster.expect_agreement(kValues);
 }
 
 TEST(UdpTransport, SemanticClusterAgreesAtTwentyPercentLoss) {
     constexpr int kValues = 40;
-    UdpLoopbackCluster cluster(5, Setup::Semantic, /*fault_seed=*/11,
-                               twenty_percent_chaos());
+    NodeCluster cluster({.setup = Setup::SemanticGossip, .n = 5, .seed = 11,
+                         .faults = twenty_percent_chaos()});
     cluster.start();
     cluster.submit(kValues);
-    ASSERT_TRUE(cluster.run_until_delivered(kValues, SimTime::seconds(90)))
+    ASSERT_TRUE(cluster.run_until_settled(kValues, SimTime::seconds(90)))
         << "cluster did not converge under 20% loss";
     cluster.expect_agreement(kValues);
     EXPECT_GT(cluster.net().counters().dropped, 0u) << "fault profile never fired";
@@ -218,11 +79,11 @@ TEST(UdpTransport, SemanticClusterAgreesAtTwentyPercentLoss) {
 
 TEST(UdpTransport, GossipClusterAgreesAtTwentyPercentLoss) {
     constexpr int kValues = 30;
-    UdpLoopbackCluster cluster(5, Setup::Gossip, /*fault_seed=*/13,
-                               twenty_percent_chaos());
+    NodeCluster cluster({.setup = Setup::Gossip, .n = 5, .seed = 13,
+                         .faults = twenty_percent_chaos()});
     cluster.start();
     cluster.submit(kValues);
-    ASSERT_TRUE(cluster.run_until_delivered(kValues, SimTime::seconds(90)))
+    ASSERT_TRUE(cluster.run_until_settled(kValues, SimTime::seconds(90)))
         << "cluster did not converge under 20% loss";
     cluster.expect_agreement(kValues);
 }
@@ -231,19 +92,16 @@ TEST(UdpTransport, DirectClusterAgreesAtTwentyPercentLoss) {
     // Direct mode has no gossip redundancy: every loss that matters must be
     // repaired by the link's reliability layer alone.
     constexpr int kValues = 30;
-    UdpLoopbackCluster cluster(3, Setup::Baseline, /*fault_seed=*/17,
-                               twenty_percent_chaos());
+    NodeCluster cluster({.setup = Setup::Baseline, .n = 3, .seed = 17,
+                         .faults = twenty_percent_chaos()});
     cluster.start();
     cluster.submit(kValues);
-    ASSERT_TRUE(cluster.run_until_delivered(kValues, SimTime::seconds(90)))
+    ASSERT_TRUE(cluster.run_until_settled(kValues, SimTime::seconds(90)))
         << "cluster did not converge under 20% loss";
     cluster.expect_agreement(kValues);
-    std::uint64_t repaired = 0;
-    for (int i = 0; i < cluster.size(); ++i) {
-        const auto& c = cluster.node(i).link->counters();
-        repaired += c.retransmits + c.fast_retransmits;
-    }
-    EXPECT_GT(repaired, 0u) << "20% loss should have exercised retransmission";
+    EXPECT_GT(cluster.sum("udp.link.retransmits") + cluster.sum("udp.link.fast_retransmits"),
+              0u)
+        << "20% loss should have exercised retransmission";
 }
 
 // -- seed replay --------------------------------------------------------------
@@ -308,7 +166,7 @@ TEST(UdpTransport, SeedReplayProducesByteIdenticalFaultAndEventLogs) {
 /// Two links over a lossy harness, bodies recorded per receiver.
 struct LinkPair {
     explicit LinkPair(std::uint64_t seed, const fault::DatagramFaultSpec& spec,
-                      UdpLink::Params params = test_link_params())
+                      UdpLink::Params params = fast_link_params())
         : net(reactor, 2, seed),
           a(reactor, 0, 2, net.endpoint(0), params),
           b(reactor, 1, 2, net.endpoint(1), params) {
@@ -484,7 +342,7 @@ TEST(UdpLink, ForceReliableRepairsEverything) {
     constexpr int kBodies = 50;
     fault::DatagramFaultSpec spec;
     spec.loss = 0.4;
-    UdpLink::Params params = test_link_params();
+    UdpLink::Params params = fast_link_params();
     params.force_reliable = true;  // the bench's TCP-like configuration
     LinkPair pair(47, spec, params);
     for (int i = 0; i < kBodies; ++i) {
@@ -501,7 +359,7 @@ TEST(UdpLink, ForceReliableRepairsEverything) {
 // Across a partition the exponential backoff must stop at rto_max (not grow
 // unbounded), and after the heal every reliable body must still come through.
 TEST(UdpLink, RtoBackoffCapsAtMaxAcrossPartitionAndHeal) {
-    UdpLink::Params params = test_link_params();
+    UdpLink::Params params = fast_link_params();
     params.rto_initial = SimTime::millis(5);
     params.rto_max = SimTime::millis(40);
     params.rto_sweep = SimTime::millis(2);
@@ -534,7 +392,7 @@ TEST(UdpLink, RtoBackoffCapsAtMaxAcrossPartitionAndHeal) {
 // fast-retransmit hints (bounded memory) without losing any reliable body:
 // the RTO path owns delivery, the history is only an optimization.
 TEST(UdpLink, SeqHistoryEvictionKeepsReliableDeliveryIntact) {
-    UdpLink::Params params = test_link_params();
+    UdpLink::Params params = fast_link_params();
     params.rto_initial = SimTime::millis(5);
     params.rto_max = SimTime::millis(20);
     params.rto_sweep = SimTime::millis(2);
@@ -563,7 +421,7 @@ TEST(UdpLink, SeqHistoryEvictionKeepsReliableDeliveryIntact) {
 // backoff stage) — byte-identical across link incarnations — and bounded by
 // rto_jitter_max; distinct rel_ids must not all share one offset.
 TEST(UdpLink, RtoJitterIsDeterministicBoundedAndSpread) {
-    const UdpLink::Params params = test_link_params();
+    const UdpLink::Params params = fast_link_params();
     Reactor reactor;
     LossyDatagramNetwork net(reactor, 2, 7);
     UdpLink first(reactor, 0, 2, net.endpoint(0), params);
@@ -589,7 +447,7 @@ TEST(UdpLink, RtoJitterIsDeterministicBoundedAndSpread) {
 // incarnation: its restarted rel_ids deliver instead of being swallowed by
 // dedup state from the previous life.
 TEST(UdpLink, EpochBumpRestartsIncarnationAndDelivers) {
-    UdpLink::Params params = test_link_params();
+    UdpLink::Params params = fast_link_params();
     Reactor reactor;
     LossyDatagramNetwork net(reactor, 2, 11);
     UdpLink b(reactor, 1, 2, net.endpoint(1), params);

@@ -268,11 +268,28 @@ TEST(WireCodec, Phase2bAggregateAllSendersRoundTrip) {
     EXPECT_EQ(m.unique_key(), msg.unique_key());
 }
 
-TEST(WireCodec, Phase2bAggregateEmptySendersRoundTrip) {
-    const Phase2bAggregateMsg msg(9, 1, 0, ValueId{0, 0}, 0, {}, 0);
-    const auto d = round_trip(msg);
-    const auto& m = decoded_as<Phase2bAggregateMsg>(d, BodyKind::Paxos);
-    EXPECT_TRUE(m.senders().empty());
+TEST(WireCodec, Phase2bAggregateEmptyOrRepeatedSendersRejected) {
+    // G-AGG-2 holds at the trust boundary: an aggregate must count each
+    // acceptor's vote once, so an empty or repeating sender list never
+    // decodes into a message (it would otherwise abort an invariant build
+    // inside PaxosSemantics::validate). A repeat far past the decoder's
+    // stack block must be caught too.
+    std::vector<ProcessId> wide(3000);
+    std::iota(wide.begin(), wide.end(), 0);
+    wide.back() = 5;
+    const std::vector<std::vector<ProcessId>> bad = {{}, {4, 4}, {0, 1, 2, 1}, wide};
+    for (const std::vector<ProcessId>& senders : bad) {
+        const Phase2bAggregateMsg msg(9, 1, 0, ValueId{0, 0}, 0, senders, 0);
+        const std::vector<std::uint8_t> bytes = wire::encode_body(msg);
+        const auto d = wire::decode_body(as_span(bytes));
+        EXPECT_FALSE(d.ok()) << senders.size() << " senders";
+        EXPECT_EQ(d.error, WireError::BadField) << senders.size() << " senders";
+    }
+    // Distinct senders in any order still round-trip, order intact.
+    const Phase2bAggregateMsg ok(9, 1, 0, ValueId{0, 0}, 0, {3, 0, 2}, 0);
+    const auto d = round_trip(ok);
+    EXPECT_EQ(decoded_as<Phase2bAggregateMsg>(d, BodyKind::Paxos).senders(),
+              (std::vector<ProcessId>{3, 0, 2}));
 }
 
 TEST(WireCodec, DecisionWithoutValueRoundTrip) {
