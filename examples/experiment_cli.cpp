@@ -6,13 +6,12 @@
 //   experiment_cli --setup semantic --n 105 --rate 104
 //   experiment_cli --setup gossip --n 53 --loss 0.2 --no-timeouts --json
 //   experiment_cli --setup gossip --strategy push-pull --rate 52 --csv
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "cli_parse.hpp"
 #include "core/report.hpp"
 #include "core/semantic_gossip.hpp"
 #include "wire/codec.hpp"
@@ -74,39 +73,6 @@ namespace {
     std::exit(2);
 }
 
-// Checked numeric parsing: atof/atoi silently map junk ("abc", "12x") to a
-// number, which range validation may then accept — reject anything that is
-// not entirely numeric instead (the cert-err34-c rule).
-double parse_num(const char* argv0, const std::string& flag, const char* s) {
-    char* end = nullptr;
-    errno = 0;
-    const double v = std::strtod(s, &end);
-    if (end == s || *end != '\0' || errno == ERANGE) {
-        usage(argv0, (flag + " expects a number, got '" + s + "'").c_str());
-    }
-    return v;
-}
-
-long long parse_int(const char* argv0, const std::string& flag, const char* s) {
-    char* end = nullptr;
-    errno = 0;
-    const long long v = std::strtoll(s, &end, 10);
-    if (end == s || *end != '\0' || errno == ERANGE) {
-        usage(argv0, (flag + " expects an integer, got '" + s + "'").c_str());
-    }
-    return v;
-}
-
-unsigned long long parse_u64(const char* argv0, const std::string& flag, const char* s) {
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (end == s || *end != '\0' || errno == ERANGE || std::strchr(s, '-') != nullptr) {
-        usage(argv0, (flag + " expects an unsigned integer, got '" + s + "'").c_str());
-    }
-    return v;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -124,9 +90,13 @@ int main(int argc, char** argv) {
             if (i + 1 >= argc) usage(argv[0], ("missing value for " + arg).c_str());
             return argv[++i];
         };
-        const auto num = [&](const char* s) { return parse_num(argv[0], arg, s); };
-        const auto intval = [&](const char* s) { return parse_int(argv[0], arg, s); };
-        const auto u64val = [&](const char* s) { return parse_u64(argv[0], arg, s); };
+        const auto num = [&](const char* s) { return cli::parse_num(usage, argv[0], arg, s); };
+        const auto intval = [&](const char* s) {
+            return cli::parse_int(usage, argv[0], arg, s);
+        };
+        const auto u64val = [&](const char* s) {
+            return cli::parse_u64(usage, argv[0], arg, s);
+        };
         if (arg == "--setup") {
             const std::string v = next();
             if (v == "baseline") cfg.setup = Setup::Baseline;

@@ -17,6 +17,8 @@
 // of one run must produce identical logs. Exit status is 0 once --expect
 // decisions were delivered (or on a clean signal with no --expect), 1 when
 // the run ends short of the expectation.
+#include <algorithm>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -27,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "cli_parse.hpp"
 #include "fault/chaos.hpp"
 #include "overlay/random_overlay.hpp"
 #include "paxos/message.hpp"
@@ -131,8 +134,9 @@ ChaosProfile chaos_profile_by_name(const std::string& name, const char* argv0) {
 bool parse_addr(const std::string& spec, PeerAddress& out) {
     const auto colon = spec.rfind(':');
     if (colon == std::string::npos || colon + 1 >= spec.size()) return false;
-    const long port = std::strtol(spec.c_str() + colon + 1, nullptr, 10);
-    if (port <= 0 || port > 65535) return false;
+    char* end = nullptr;
+    const long port = std::strtol(spec.c_str() + colon + 1, &end, 10);
+    if (*end != '\0' || port <= 0 || port > 65535) return false;
     out.host = spec.substr(0, colon);
     out.port = static_cast<std::uint16_t>(port);
     return true;
@@ -180,8 +184,16 @@ Options parse_options(int argc, char** argv) {
             if (i + 1 >= argc) usage(argv[0], ("missing value for " + arg).c_str());
             return argv[++i];
         };
+        const auto num = [&] { return cli::parse_num(usage, argv[0], arg, next()); };
+        const auto intval = [&] { return cli::parse_int(usage, argv[0], arg, next()); };
+        const auto u64val = [&] { return cli::parse_u64(usage, argv[0], arg, next()); };
+        // Saturated to int, so a value beyond int stays out of the ranges
+        // validated below instead of wrapping into them.
+        const auto int32 = [&] {
+            return static_cast<int>(std::clamp<long long>(intval(), INT_MIN, INT_MAX));
+        };
         if (arg == "--id") {
-            opt.id = static_cast<ProcessId>(std::atoi(next()));
+            opt.id = int32();
         } else if (arg == "--cluster") {
             opt.cluster = parse_cluster_list(next(), argv[0]);
         } else if (arg == "--config") {
@@ -198,7 +210,7 @@ Options parse_options(int argc, char** argv) {
                 usage(argv[0], "bad --setup (want baseline|gossip|semantic)");
             }
         } else if (arg == "--groups") {
-            opt.groups = std::atoi(next());
+            opt.groups = int32();
         } else if (arg == "--transport") {
             const std::string v = next();
             if (v == "tcp") {
@@ -209,29 +221,35 @@ Options parse_options(int argc, char** argv) {
                 usage(argv[0], "bad --transport (want tcp|udp)");
             }
         } else if (arg == "--degree") {
-            opt.degree = std::atoi(next());
+            opt.degree = int32();
         } else if (arg == "--overlay-seed") {
-            opt.overlay_seed = std::strtoull(next(), nullptr, 10);
+            opt.overlay_seed = u64val();
         } else if (arg == "--seed") {
-            opt.seed = std::strtoull(next(), nullptr, 10);
+            opt.seed = u64val();
         } else if (arg == "--failover") {
             opt.failover = true;
         } else if (arg == "--heartbeat") {
-            opt.heartbeat_s = std::atof(next());
+            opt.heartbeat_s = num();
         } else if (arg == "--suspect-after") {
-            opt.suspect_after_s = std::atof(next());
+            opt.suspect_after_s = num();
         } else if (arg == "--submit") {
-            opt.submit = std::atol(next());
+            opt.submit = intval();
         } else if (arg == "--rate") {
-            opt.rate = std::atof(next());
+            opt.rate = num();
         } else if (arg == "--value-size") {
-            opt.value_size = static_cast<std::uint32_t>(std::atoi(next()));
+            // Peers reject a value above the wire's limit as Oversized.
+            const long long size = intval();
+            if (size < 1 || size > static_cast<long long>(wire::kMaxValueBytes)) {
+                usage(argv[0], ("--value-size must be in [1, " +
+                                std::to_string(wire::kMaxValueBytes) + "]").c_str());
+            }
+            opt.value_size = static_cast<std::uint32_t>(size);
         } else if (arg == "--expect") {
-            opt.expect = std::atol(next());
+            opt.expect = intval();
         } else if (arg == "--run-for") {
-            opt.run_for_s = std::atof(next());
+            opt.run_for_s = num();
         } else if (arg == "--linger") {
-            opt.linger_s = std::atof(next());
+            opt.linger_s = num();
         } else if (arg == "--decision-log") {
             opt.decision_log = next();
         } else if (arg == "--metrics") {
@@ -242,7 +260,7 @@ Options parse_options(int argc, char** argv) {
             opt.chaos = next();
             (void)chaos_profile_by_name(opt.chaos, argv[0]);  // validate now
         } else if (arg == "--chaos-seed") {
-            opt.chaos_seed = std::strtoull(next(), nullptr, 10);
+            opt.chaos_seed = u64val();
         } else if (arg == "--chaos-log") {
             opt.chaos_log = next();
         } else {
@@ -261,7 +279,6 @@ Options parse_options(int argc, char** argv) {
     if (opt.submit < 0 || opt.expect < 0) usage(argv[0], "counts must be non-negative");
     if (opt.degree < 0 || opt.degree >= n) usage(argv[0], "--degree out of range");
     if (opt.run_for_s <= 0) usage(argv[0], "--run-for must be positive");
-    if (opt.value_size == 0) usage(argv[0], "--value-size must be positive");
     return opt;
 }
 
@@ -330,9 +347,9 @@ int main(int argc, char** argv) {
     // Chaos bridge: every node derives the identical schedule from
     // (n, profile, chaos-seed, overlay) — the same trick as the overlay
     // itself — and applies the events that touch it: crash/restart of its
-    // own stack, outgoing-link faults (UDP only; each directed link is
-    // enforced once, at the sender), and overlay churn. The rendered fault
-    // log is byte-identical across all nodes of a run.
+    // own stack, partitions and outgoing-link faults (UDP only; each
+    // directed link is enforced once, at the sender), and overlay churn. The
+    // rendered fault log is byte-identical across all nodes of a run.
     std::unique_ptr<ChaosBridge> bridge;
     if (!opt.chaos.empty()) {
         const ChaosProfile profile = chaos_profile_by_name(opt.chaos, argv[0]);
@@ -423,8 +440,9 @@ int main(int argc, char** argv) {
     const SimTime deadline = reactor.now() + SimTime::seconds(opt.run_for_s);
     const SimTime linger = SimTime::seconds(opt.linger_s);
     reactor.run_until([&] { return g_signal != 0 || stack->links_up(); }, SimTime::seconds(3.0));
-    // Arm the fault schedule relative to protocol start: the profile's quiet
-    // window then follows mesh establishment on every node.
+    // Fault events fire at reactor time, counted from process start, not
+    // from protocol start: the profile's quiet window covers mesh
+    // establishment, and an event already due fires at once.
     if (bridge) bridge->arm();
     shard.post_start();
     // Client submissions, paced at --rate.

@@ -5,28 +5,18 @@
 //   n     system size (default 13)
 //   rate  client submissions/s over all 13 clients (default 50)
 //   setup baseline | gossip | semantic (default semantic)
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
+#include "cli_parse.hpp"
 #include "core/semantic_gossip.hpp"
 
 namespace {
 
-[[noreturn]] void die(const char* message) {
-    std::fprintf(stderr, "quickstart: %s\nusage: quickstart [n] [rate] [setup]\n", message);
+[[noreturn]] void usage(const char* argv0, const char* error) {
+    std::fprintf(stderr, "quickstart: %s\nusage: %s [n] [rate] [setup]\n", error, argv0);
     std::exit(2);
-}
-
-// atoi/atof turn junk into 0 silently, which here means "run a degenerate
-// zero-process experiment" — parse strictly and reject instead.
-double parse_num(const char* what, const char* s) {
-    char* end = nullptr;
-    errno = 0;
-    const double v = std::strtod(s, &end);
-    if (end == s || *end != '\0' || errno == ERANGE) die(what);
-    return v;
 }
 
 }  // namespace
@@ -36,15 +26,15 @@ int main(int argc, char** argv) {
 
     ExperimentConfig cfg;
     cfg.setup = Setup::SemanticGossip;
-    cfg.n = argc > 1 ? static_cast<int>(parse_num("n must be a number", argv[1])) : 13;
-    cfg.total_rate = argc > 2 ? parse_num("rate must be a number", argv[2]) : 50.0;
-    if (cfg.n < 3) die("n must be at least 3 (quorum needs a majority)");
-    if (cfg.total_rate <= 0) die("rate must be positive");
+    cfg.n = argc > 1 ? static_cast<int>(cli::parse_num(usage, argv[0], "n", argv[1])) : 13;
+    cfg.total_rate = argc > 2 ? cli::parse_num(usage, argv[0], "rate", argv[2]) : 50.0;
+    if (cfg.n < 3) usage(argv[0], "n must be at least 3 (quorum needs a majority)");
+    if (cfg.total_rate <= 0) usage(argv[0], "rate must be positive");
     if (argc > 3) {
         if (std::strcmp(argv[3], "baseline") == 0) cfg.setup = Setup::Baseline;
         else if (std::strcmp(argv[3], "gossip") == 0) cfg.setup = Setup::Gossip;
         else if (std::strcmp(argv[3], "semantic") == 0) cfg.setup = Setup::SemanticGossip;
-        else die("setup must be baseline, gossip, or semantic");
+        else usage(argv[0], "setup must be baseline, gossip, or semantic");
     }
     cfg.warmup = SimTime::seconds(1);
     cfg.measure = SimTime::seconds(4);

@@ -20,11 +20,15 @@
 #                  accepted but had not yet proposed die with it by design,
 #                  which would make the expected total nondeterministic.
 #     -C PROFILE   replay a chaos fault schedule in every node:
-#                  light | moderate | heavy | heavy_failover. Crash/restart
-#                  and (under -T udp) link-fault lanes are applied against
-#                  the real sockets; all nodes must render the identical
-#                  injected-fault log. heavy_failover permanently crashes
-#                  node 0, so pair it with -k semantics in mind.
+#                  light | moderate | heavy | heavy_failover. Crash/restart,
+#                  churn and (under -T udp) partition and link-fault lanes
+#                  are applied against the real sockets; all nodes must
+#                  render the identical injected-fault log. Nodes linger
+#                  2 s + 20 ms per value after meeting the expectation, so
+#                  a node wiped before it learned the log can relearn it
+#                  by gap repair (about 100 instances/s). heavy_failover
+#                  permanently crashes node 0, so pair it with -k semantics
+#                  in mind.
 #     -S SEED      chaos schedule seed (default 1); same seed, same schedule
 #     -t SECONDS   per-node hard runtime limit (default 60)
 #     -b BINARY    gossipd binary (default build/examples/gossipd)
@@ -65,7 +69,7 @@ while getopts "n:v:s:G:T:fkC:S:t:b:d:h" o; do
         t) TIMEOUT="$OPTARG" ;;
         b) BINARY="$OPTARG" ;;
         d) DIR="$OPTARG" ;;
-        h|*) sed -n '2,36p' "$0"; exit 2 ;;
+        h|*) sed -n '2,40p' "$0"; exit 2 ;;
     esac
 done
 
@@ -134,7 +138,8 @@ for ((i = 0; i < NODES; i++)); do
     [ "$NGROUPS" -gt 1 ] && ARGS+=(--groups "$NGROUPS")
     [ "$FAILOVER" -eq 1 ] && ARGS+=(--failover)
     [ -n "$CHAOS" ] && ARGS+=(--chaos "$CHAOS" --chaos-seed "$CHAOS_SEED"
-                              --chaos-log "$DIR/node$i.chaos")
+                              --chaos-log "$DIR/node$i.chaos"
+                              --linger $((2 + VALUES / 50)))
     "$BINARY" "${ARGS[@]}" > "$DIR/node$i.out" 2>&1 &
     PIDS+=($!)
 done

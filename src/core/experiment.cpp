@@ -165,11 +165,41 @@ Deployment::Deployment(const ExperimentConfig& config) : config_(config) {
                                       overlay_ ? &*overlay_ : nullptr, config.groups));
     }
     if (!schedule.empty()) {
+        // The simulator's hooks: events fire in the fault lane; a crash
+        // stops the node, a cut applies only to links the setup allows.
         FaultInjector::Hooks hooks;
-        hooks.gossip_node = [this](ProcessId p) { return gossip_node(p); };
-        hooks.wipe_state = [this](ProcessId p) { wipe_process_state(p); };
-        hooks.overlay = overlay_ ? &*overlay_ : nullptr;
-        injector_ = std::make_unique<FaultInjector>(*sim_, *network_, std::move(schedule),
+        hooks.schedule = [this](SimTime at, std::function<void()> fn) {
+            sim_->schedule_fault(at, std::move(fn));
+        };
+        hooks.crash = [this](ProcessId p) { network_->node(p).crash(); };
+        hooks.restart = [this](ProcessId p, bool wiped) {
+            network_->node(p).recover();
+            if (wiped) wipe_process_state(p);
+        };
+        hooks.cut = [this](ProcessId a, ProcessId b) {
+            if (network_->link_allowed(a, b)) network_->set_link_cut(a, b, true);
+        };
+        hooks.heal = [this] { network_->clear_all_cuts(); };
+        hooks.link_fault = [this](ProcessId from, ProcessId to, const LinkFaultSpec* spec) {
+            if (spec != nullptr) {
+                network_->set_link_fault(from, to, *spec);
+            } else {
+                network_->clear_link_fault(from, to);
+            }
+        };
+        if (overlay_) {
+            hooks.overlay = &*overlay_;
+            hooks.drop_edge = [this](ProcessId a, ProcessId b) {
+                gossip_node(a)->remove_peer(b);
+                gossip_node(b)->remove_peer(a);
+            };
+            hooks.add_edge = [this](ProcessId a, ProcessId b) {
+                if (!network_->link_allowed(a, b)) network_->allow_link(a, b);
+                gossip_node(a)->add_peer(b);
+                gossip_node(b)->add_peer(a);
+            };
+        }
+        injector_ = std::make_unique<FaultInjector>(config.n, std::move(schedule),
                                                     std::move(hooks));
         injector_->arm();
     }

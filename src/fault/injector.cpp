@@ -1,30 +1,42 @@
 #include "fault/injector.hpp"
 
-#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
+#include <variant>
 
-#include "gossip/gossip_node.hpp"
 #include "overlay/random_overlay.hpp"
 
 namespace gossipc {
 
-FaultInjector::FaultInjector(Simulator& sim, Network& network, FaultSchedule schedule,
-                             Hooks hooks)
-    : sim_(sim), network_(network), schedule_(std::move(schedule)), hooks_(std::move(hooks)) {
+namespace {
+/// Skip reason of a partition, heal or link-fault event on a substrate that
+/// cannot fault individual links (the runtime's TCP lane).
+constexpr const char* kNoLinkLane = "no datagram lane";
+}  // namespace
+
+FaultInjector::FaultInjector(int n, FaultSchedule schedule, Hooks hooks)
+    : n_(n),
+      schedule_(std::move(schedule)),
+      hooks_(std::move(hooks)),
+      crashed_(static_cast<std::size_t>(n), false),
+      wipe_on_restart_(static_cast<std::size_t>(n), false) {
+    if (!hooks_.schedule || !hooks_.crash || !hooks_.restart) {
+        throw std::invalid_argument("FaultInjector: schedule, crash and restart hooks required");
+    }
+    const auto in_range = [n](ProcessId p) { return p >= 0 && p < n; };
     for (const FaultEvent& e : schedule_.events()) {
         if (const auto* crash = std::get_if<CrashFault>(&e.action)) {
-            if (crash->process < 0 || crash->process >= network_.size()) {
+            if (!in_range(crash->process)) {
                 throw std::invalid_argument("FaultInjector: crash targets unknown process");
             }
         } else if (const auto* restart = std::get_if<RestartFault>(&e.action)) {
-            if (restart->process < 0 || restart->process >= network_.size()) {
+            if (!in_range(restart->process)) {
                 throw std::invalid_argument("FaultInjector: restart targets unknown process");
             }
         } else if (const auto* part = std::get_if<PartitionFault>(&e.action)) {
             for (const ProcessId p : part->side) {
-                if (p < 0 || p >= network_.size()) {
+                if (!in_range(p)) {
                     throw std::invalid_argument("FaultInjector: partition side out of range");
                 }
             }
@@ -32,152 +44,103 @@ FaultInjector::FaultInjector(Simulator& sim, Network& network, FaultSchedule sch
     }
 }
 
-FaultInjector::FaultInjector(Simulator& sim, Network& network, FaultSchedule schedule)
-    : FaultInjector(sim, network, std::move(schedule), Hooks{}) {}
-
 void FaultInjector::arm() {
     if (armed_) throw std::logic_error("FaultInjector::arm: already armed");
     armed_ = true;
-    for (std::size_t i = 0; i < schedule_.events().size(); ++i) {
-        const FaultEvent& e = schedule_.events()[i];
-        sim_.schedule_fault(e.at, [this, &e] { apply(e); });
+    for (const FaultEvent& e : schedule_.events()) {
+        hooks_.schedule(e.at, [this, &e] { fire(e); });
     }
 }
 
-void FaultInjector::record(const FaultAction& action) {
+void FaultInjector::fire(const FaultEvent& event) {
+    const char* skipped = std::visit([this](const auto& f) { return apply(f); }, event.action);
     std::ostringstream o;
-    o << sim_.now().as_nanos() << ' ' << describe(action);
+    o << event.at.as_nanos() << ' ' << describe(event.action);
+    if (skipped != nullptr) o << " [skipped: " << skipped << ']';
     log_.push_back(o.str());
-    ++counters_.applied;
+    ++(skipped != nullptr ? counters_.skipped : counters_.applied);
 }
 
-void FaultInjector::record_skip(const FaultAction& action, const char* reason) {
-    std::ostringstream o;
-    o << sim_.now().as_nanos() << ' ' << describe(action) << " [skipped: " << reason << ']';
-    log_.push_back(o.str());
-    ++counters_.skipped;
-}
-
-void FaultInjector::apply(const FaultEvent& event) {
-    if (const auto* f = std::get_if<CrashFault>(&event.action)) {
-        apply_crash(*f);
-    } else if (const auto* f = std::get_if<RestartFault>(&event.action)) {
-        apply_restart(*f);
-    } else if (const auto* f = std::get_if<PartitionFault>(&event.action)) {
-        apply_partition(*f);
-    } else if (std::get_if<HealFault>(&event.action) != nullptr) {
-        apply_heal();
-    } else if (const auto* f = std::get_if<LinkFaultStart>(&event.action)) {
-        network_.set_link_fault(f->from, f->to, f->spec);
-        ++counters_.link_faults;
-        record(event.action);
-    } else if (const auto* f = std::get_if<LinkFaultEnd>(&event.action)) {
-        network_.clear_link_fault(f->from, f->to);
-        ++counters_.link_fault_ends;
-        record(event.action);
-    } else if (const auto* f = std::get_if<ChurnDropEdge>(&event.action)) {
-        apply_churn_drop(*f);
-    } else if (const auto* f = std::get_if<ChurnAddEdge>(&event.action)) {
-        apply_churn_add(*f);
-    }
-}
-
-void FaultInjector::apply_crash(const CrashFault& f) {
-    Node& node = network_.node(f.process);
-    if (node.crashed()) {
-        record_skip(CrashFault{f.process, f.wipe_state}, "already crashed");
-        return;
-    }
-    node.crash();
+const char* FaultInjector::apply(const CrashFault& f) {
+    const auto p = static_cast<std::size_t>(f.process);
+    if (crashed_[p]) return "already crashed";
+    hooks_.crash(f.process);
+    crashed_[p] = true;
     // The wipe is deferred to the restart: durable state is unobservable
     // while the process is down, and a process that never restarts is
     // indistinguishable from one whose disk burned.
-    wipe_on_restart_[f.process] = f.wipe_state;
+    wipe_on_restart_[p] = f.wipe_state;
     ++counters_.crashes;
-    record(CrashFault{f.process, f.wipe_state});
+    return nullptr;
 }
 
-void FaultInjector::apply_restart(const RestartFault& f) {
-    Node& node = network_.node(f.process);
-    if (!node.crashed()) {
-        record_skip(RestartFault{f.process}, "not crashed");
-        return;
-    }
-    node.recover();
+const char* FaultInjector::apply(const RestartFault& f) {
+    const auto p = static_cast<std::size_t>(f.process);
+    if (!crashed_[p]) return "not crashed";
+    hooks_.restart(f.process, wipe_on_restart_[p]);
+    crashed_[p] = false;
     ++counters_.restarts;
-    const auto it = wipe_on_restart_.find(f.process);
-    if (it != wipe_on_restart_.end() && it->second) {
-        if (hooks_.wipe_state) {
-            hooks_.wipe_state(f.process);
-            ++counters_.wipes;
-        } else {
-            record_skip(RestartFault{f.process}, "wipe requested but no wipe hook");
-            return;
-        }
-    }
-    record(RestartFault{f.process});
+    if (wipe_on_restart_[p]) ++counters_.wipes;
+    return nullptr;
 }
 
-void FaultInjector::apply_partition(const PartitionFault& f) {
-    std::vector<bool> in_side(static_cast<std::size_t>(network_.size()), false);
+const char* FaultInjector::apply(const PartitionFault& f) {
+    if (!hooks_.cut) return kNoLinkLane;
+    std::vector<bool> in_side(static_cast<std::size_t>(n_), false);
     for (const ProcessId p : f.side) in_side[static_cast<std::size_t>(p)] = true;
-    for (ProcessId a = 0; a < network_.size(); ++a) {
+    for (ProcessId a = 0; a < n_; ++a) {
         if (!in_side[static_cast<std::size_t>(a)]) continue;
-        for (ProcessId b = 0; b < network_.size(); ++b) {
-            if (in_side[static_cast<std::size_t>(b)] || a == b) continue;
-            if (network_.link_allowed(a, b)) network_.set_link_cut(a, b, true);
+        for (ProcessId b = 0; b < n_; ++b) {
+            if (!in_side[static_cast<std::size_t>(b)]) hooks_.cut(a, b);
         }
     }
     ++counters_.partitions;
-    record(PartitionFault{f.side});
+    return nullptr;
 }
 
-void FaultInjector::apply_heal() {
-    network_.clear_all_cuts();
+const char* FaultInjector::apply(const HealFault& /*f*/) {
+    if (!hooks_.heal) return kNoLinkLane;
+    hooks_.heal();
     ++counters_.heals;
-    record(HealFault{});
+    return nullptr;
 }
 
-void FaultInjector::apply_churn_drop(const ChurnDropEdge& f) {
-    if (hooks_.overlay == nullptr || !hooks_.gossip_node) {
-        record_skip(ChurnDropEdge{f.a, f.b}, "no overlay");
-        return;
-    }
-    if (!hooks_.overlay->has_edge(f.a, f.b)) {
-        record_skip(ChurnDropEdge{f.a, f.b}, "edge absent");
-        return;
-    }
+const char* FaultInjector::apply(const LinkFaultStart& f) {
+    if (!hooks_.link_fault) return kNoLinkLane;
+    hooks_.link_fault(f.from, f.to, &f.spec);
+    ++counters_.link_faults;
+    return nullptr;
+}
+
+const char* FaultInjector::apply(const LinkFaultEnd& f) {
+    if (!hooks_.link_fault) return kNoLinkLane;
+    hooks_.link_fault(f.from, f.to, nullptr);
+    ++counters_.link_fault_ends;
+    return nullptr;
+}
+
+const char* FaultInjector::apply(const ChurnDropEdge& f) {
+    if (hooks_.overlay == nullptr || !hooks_.drop_edge) return "no overlay";
+    if (!hooks_.overlay->has_edge(f.a, f.b)) return "edge absent";
     // Refuse churn that would disconnect the overlay: gossip over a
     // disconnected overlay cannot converge, and real churned membership
     // re-establishes connectivity. The check is O(V+E) on a copy.
     Graph probe = *hooks_.overlay;
     probe.remove_edge(f.a, f.b);
-    if (!is_connected(probe)) {
-        record_skip(ChurnDropEdge{f.a, f.b}, "would disconnect overlay");
-        return;
-    }
+    if (!is_connected(probe)) return "would disconnect overlay";
     hooks_.overlay->remove_edge(f.a, f.b);
-    if (GossipNode* ga = hooks_.gossip_node(f.a)) ga->remove_peer(f.b);
-    if (GossipNode* gb = hooks_.gossip_node(f.b)) gb->remove_peer(f.a);
+    hooks_.drop_edge(f.a, f.b);
     ++counters_.edges_dropped;
-    record(ChurnDropEdge{f.a, f.b});
+    return nullptr;
 }
 
-void FaultInjector::apply_churn_add(const ChurnAddEdge& f) {
-    if (hooks_.overlay == nullptr || !hooks_.gossip_node) {
-        record_skip(ChurnAddEdge{f.a, f.b}, "no overlay");
-        return;
-    }
-    if (hooks_.overlay->has_edge(f.a, f.b)) {
-        record_skip(ChurnAddEdge{f.a, f.b}, "edge present");
-        return;
-    }
+const char* FaultInjector::apply(const ChurnAddEdge& f) {
+    if (hooks_.overlay == nullptr || !hooks_.add_edge) return "no overlay";
+    if (hooks_.overlay->has_edge(f.a, f.b)) return "edge present";
     hooks_.overlay->add_edge(f.a, f.b);
-    if (!network_.link_allowed(f.a, f.b)) network_.allow_link(f.a, f.b);
-    if (GossipNode* ga = hooks_.gossip_node(f.a)) ga->add_peer(f.b);
-    if (GossipNode* gb = hooks_.gossip_node(f.b)) gb->add_peer(f.a);
+    hooks_.add_edge(f.a, f.b);
     ++counters_.edges_added;
-    record(ChurnAddEdge{f.a, f.b});
+    return nullptr;
 }
 
 std::string FaultInjector::rendered_log() const {

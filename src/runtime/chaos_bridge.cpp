@@ -1,13 +1,11 @@
 #include "runtime/chaos_bridge.hpp"
 
-#include <algorithm>
-#include <sstream>
-#include <stdexcept>
-
-#include "overlay/random_overlay.hpp"
-
 namespace gossipc::runtime {
 
+namespace {
+/// LinkFaultSpec (stream semantics) translated to the datagram boundary:
+/// loss/duplicate/reorder map one-to-one, extra_delay shifts every delivery,
+/// and truncation stays zero (a stream fault window cannot express it).
 fault::DatagramFaultSpec to_datagram_spec(const LinkFaultSpec& spec) {
     fault::DatagramFaultSpec out;
     out.loss = spec.loss;
@@ -16,226 +14,60 @@ fault::DatagramFaultSpec to_datagram_spec(const LinkFaultSpec& spec) {
     out.extra_delay = spec.extra_delay;
     return out;
 }
+}  // namespace
 
 ChaosBridge::ChaosBridge(Reactor& reactor, int cluster_size, FaultSchedule schedule,
                          Hooks hooks)
-    : reactor_(reactor),
-      cluster_size_(cluster_size),
-      schedule_(std::move(schedule)),
-      hooks_(std::move(hooks)),
-      crashed_(static_cast<std::size_t>(cluster_size), false) {
-    for (const FaultEvent& e : schedule_.events()) {
-        if (const auto* crash = std::get_if<CrashFault>(&e.action)) {
-            if (crash->process < 0 || crash->process >= cluster_size_) {
-                throw std::invalid_argument("ChaosBridge: crash targets unknown process");
-            }
-        } else if (const auto* restart = std::get_if<RestartFault>(&e.action)) {
-            if (restart->process < 0 || restart->process >= cluster_size_) {
-                throw std::invalid_argument("ChaosBridge: restart targets unknown process");
-            }
-        } else if (const auto* part = std::get_if<PartitionFault>(&e.action)) {
-            for (const ProcessId p : part->side) {
-                if (p < 0 || p >= cluster_size_) {
-                    throw std::invalid_argument("ChaosBridge: partition side out of range");
-                }
-            }
-        }
-    }
-}
+    : set_link_(std::move(hooks.set_link)),
+      clear_link_(std::move(hooks.clear_link)),
+      injector_(cluster_size, std::move(schedule), injector_hooks(reactor, std::move(hooks))) {}
 
-void ChaosBridge::arm() {
-    if (armed_) throw std::logic_error("ChaosBridge::arm: already armed");
-    armed_ = true;
-    const SimTime now = reactor_.now();
-    for (const FaultEvent& e : schedule_.events()) {
-        // Same-deadline timers fire in scheduling order (reactor FIFO
-        // tie-break), which is exactly the schedule's execution order.
-        const SimTime delay = e.at > now ? e.at - now : SimTime::zero();
-        reactor_.schedule_after(delay, [this, &e] { apply(e); });
-    }
-}
-
-bool ChaosBridge::crashed(ProcessId p) const {
-    if (p < 0 || p >= cluster_size_) return false;
-    return crashed_[static_cast<std::size_t>(p)];
-}
-
-void ChaosBridge::record(SimTime at, const FaultAction& action) {
-    std::ostringstream o;
-    o << at.as_nanos() << ' ' << describe(action);
-    log_.push_back(o.str());
-    ++counters_.applied;
-}
-
-void ChaosBridge::record_skip(SimTime at, const FaultAction& action, const char* reason) {
-    std::ostringstream o;
-    o << at.as_nanos() << ' ' << describe(action) << " [skipped: " << reason << ']';
-    log_.push_back(o.str());
-    ++counters_.skipped;
-}
-
-void ChaosBridge::apply(const FaultEvent& event) {
-    ++fired_;
-    if (const auto* f = std::get_if<CrashFault>(&event.action)) {
-        apply_crash(event.at, *f);
-    } else if (const auto* f = std::get_if<RestartFault>(&event.action)) {
-        apply_restart(event.at, *f);
-    } else if (const auto* f = std::get_if<PartitionFault>(&event.action)) {
-        apply_partition(event.at, *f);
-    } else if (std::get_if<HealFault>(&event.action) != nullptr) {
-        apply_heal(event.at);
-    } else if (const auto* f = std::get_if<LinkFaultStart>(&event.action)) {
-        apply_link_start(event.at, *f);
-    } else if (const auto* f = std::get_if<LinkFaultEnd>(&event.action)) {
-        apply_link_end(event.at, *f);
-    } else if (const auto* f = std::get_if<ChurnDropEdge>(&event.action)) {
-        apply_churn_drop(event.at, *f);
-    } else if (const auto* f = std::get_if<ChurnAddEdge>(&event.action)) {
-        apply_churn_add(event.at, *f);
-    }
-}
-
-void ChaosBridge::apply_crash(SimTime at, const CrashFault& f) {
-    if (crashed_[static_cast<std::size_t>(f.process)]) {
-        record_skip(at, CrashFault{f.process, f.wipe_state}, "already crashed");
-        return;
-    }
-    if (!hooks_.crash_node) {
-        record_skip(at, CrashFault{f.process, f.wipe_state}, "no crash hook");
-        return;
-    }
-    hooks_.crash_node(f.process);
-    crashed_[static_cast<std::size_t>(f.process)] = true;
-    // Deferred wipe, as in the simulator: durable state is unobservable
-    // while the process is down.
-    wipe_on_restart_[f.process] = f.wipe_state;
-    ++counters_.crashes;
-    record(at, CrashFault{f.process, f.wipe_state});
-}
-
-void ChaosBridge::apply_restart(SimTime at, const RestartFault& f) {
-    if (!crashed_[static_cast<std::size_t>(f.process)]) {
-        record_skip(at, RestartFault{f.process}, "not crashed");
-        return;
-    }
-    if (!hooks_.restart_node) {
-        record_skip(at, RestartFault{f.process}, "no restart hook");
-        return;
-    }
-    const auto it = wipe_on_restart_.find(f.process);
-    const bool wiped = it != wipe_on_restart_.end() && it->second;
-    hooks_.restart_node(f.process, wiped);
-    crashed_[static_cast<std::size_t>(f.process)] = false;
-    ++counters_.restarts;
-    if (wiped) ++counters_.wipes;
-    record(at, RestartFault{f.process});
-}
-
-void ChaosBridge::apply_partition(SimTime at, const PartitionFault& f) {
-    std::vector<bool> in_side(static_cast<std::size_t>(cluster_size_), false);
-    for (const ProcessId p : f.side) in_side[static_cast<std::size_t>(p)] = true;
-    for (ProcessId a = 0; a < cluster_size_; ++a) {
-        if (!in_side[static_cast<std::size_t>(a)]) continue;
-        for (ProcessId b = 0; b < cluster_size_; ++b) {
-            if (in_side[static_cast<std::size_t>(b)] || a == b) continue;
+FaultInjector::Hooks ChaosBridge::injector_hooks(Reactor& reactor, Hooks hooks) {
+    FaultInjector::Hooks h;
+    h.schedule = [&reactor](SimTime at, std::function<void()> fn) {
+        reactor.schedule_at(at, std::move(fn));
+    };
+    h.crash = std::move(hooks.crash_node);
+    h.restart = std::move(hooks.restart_node);
+    if (set_link_ && clear_link_) {
+        h.cut = [this](ProcessId a, ProcessId b) {
             cuts_.insert({a, b});
             cuts_.insert({b, a});
             refresh_link(a, b);
             refresh_link(b, a);
-        }
+        };
+        h.heal = [this] {
+            // Re-expose whatever is underneath each healed cut: an active
+            // fault window, or the ambient default.
+            const auto cut = std::move(cuts_);
+            cuts_.clear();
+            for (const auto& [from, to] : cut) refresh_link(from, to);
+        };
+        h.link_fault = [this](ProcessId from, ProcessId to, const LinkFaultSpec* spec) {
+            if (spec != nullptr) {
+                windows_[{from, to}] = to_datagram_spec(*spec);
+            } else {
+                windows_.erase({from, to});
+            }
+            refresh_link(from, to);
+        };
     }
-    ++counters_.partitions;
-    record(at, PartitionFault{f.side});
-}
-
-void ChaosBridge::apply_heal(SimTime at) {
-    const std::set<std::pair<ProcessId, ProcessId>> cut = std::move(cuts_);
-    cuts_.clear();
-    // Re-expose whatever is underneath each healed cut: an active fault
-    // window, or the ambient default.
-    for (const auto& [from, to] : cut) refresh_link(from, to);
-    ++counters_.heals;
-    record(at, HealFault{});
-}
-
-void ChaosBridge::apply_link_start(SimTime at, const LinkFaultStart& f) {
-    if (!hooks_.set_link) {
-        record_skip(at, LinkFaultStart{f.from, f.to, f.spec}, "no datagram lane");
-        return;
-    }
-    windows_[{f.from, f.to}] = to_datagram_spec(f.spec);
-    refresh_link(f.from, f.to);
-    ++counters_.link_faults;
-    record(at, LinkFaultStart{f.from, f.to, f.spec});
-}
-
-void ChaosBridge::apply_link_end(SimTime at, const LinkFaultEnd& f) {
-    if (!hooks_.set_link) {
-        record_skip(at, LinkFaultEnd{f.from, f.to}, "no datagram lane");
-        return;
-    }
-    windows_.erase({f.from, f.to});
-    refresh_link(f.from, f.to);
-    ++counters_.link_fault_ends;
-    record(at, LinkFaultEnd{f.from, f.to});
+    h.overlay = hooks.overlay;
+    h.drop_edge = std::move(hooks.drop_edge);
+    h.add_edge = std::move(hooks.add_edge);
+    return h;
 }
 
 void ChaosBridge::refresh_link(ProcessId from, ProcessId to) {
-    if (!hooks_.set_link || !hooks_.clear_link) return;
     if (cuts_.count({from, to}) > 0) {
         fault::DatagramFaultSpec cut;
         cut.loss = 1.0;  // partition = total loss, both directions
-        hooks_.set_link(from, to, cut);
-        return;
+        set_link_(from, to, cut);
+    } else if (const auto it = windows_.find({from, to}); it != windows_.end()) {
+        set_link_(from, to, it->second);
+    } else {
+        clear_link_(from, to);
     }
-    if (const auto it = windows_.find({from, to}); it != windows_.end()) {
-        hooks_.set_link(from, to, it->second);
-        return;
-    }
-    hooks_.clear_link(from, to);
-}
-
-void ChaosBridge::apply_churn_drop(SimTime at, const ChurnDropEdge& f) {
-    if (hooks_.overlay == nullptr || !hooks_.drop_edge) {
-        record_skip(at, ChurnDropEdge{f.a, f.b}, "no overlay");
-        return;
-    }
-    if (!hooks_.overlay->has_edge(f.a, f.b)) {
-        record_skip(at, ChurnDropEdge{f.a, f.b}, "edge absent");
-        return;
-    }
-    // The same guard as the simulator: never disconnect the overlay.
-    Graph probe = *hooks_.overlay;
-    probe.remove_edge(f.a, f.b);
-    if (!is_connected(probe)) {
-        record_skip(at, ChurnDropEdge{f.a, f.b}, "would disconnect overlay");
-        return;
-    }
-    hooks_.overlay->remove_edge(f.a, f.b);
-    hooks_.drop_edge(f.a, f.b);
-    ++counters_.edges_dropped;
-    record(at, ChurnDropEdge{f.a, f.b});
-}
-
-void ChaosBridge::apply_churn_add(SimTime at, const ChurnAddEdge& f) {
-    if (hooks_.overlay == nullptr || !hooks_.add_edge) {
-        record_skip(at, ChurnAddEdge{f.a, f.b}, "no overlay");
-        return;
-    }
-    if (hooks_.overlay->has_edge(f.a, f.b)) {
-        record_skip(at, ChurnAddEdge{f.a, f.b}, "edge present");
-        return;
-    }
-    hooks_.overlay->add_edge(f.a, f.b);
-    hooks_.add_edge(f.a, f.b);
-    ++counters_.edges_added;
-    record(at, ChurnAddEdge{f.a, f.b});
-}
-
-std::string ChaosBridge::rendered_log() const {
-    std::ostringstream o;
-    for (const std::string& line : log_) o << line << '\n';
-    return o.str();
 }
 
 }  // namespace gossipc::runtime

@@ -1,49 +1,33 @@
 // Runtime fault bridge (DESIGN.md §13): replays a FaultSchedule against an
-// in-process real-runtime cluster, mirroring the simulator's FaultInjector
-// event for event.
-//
-// The simulator injects faults by flipping Node/Network state; the runtime
-// has sockets and live objects instead, so every fault lane maps onto a
-// hook the harness provides:
-//  * CrashFault/RestartFault -> tear down / re-create the node's socket
-//    stack (RealTransport + UdpLink or ConnectionManager) around a stable
-//    GatedTransport facade; the durable-state wipe is deferred to the
-//    restart, exactly as the simulator defers it.
-//  * PartitionFault/HealFault -> per-directed-link DatagramFaultSpecs with
-//    loss 1.0 on every cross-pair, both directions, layered over any
-//    active structured fault windows (a heal re-exposes the windows).
-//  * LinkFaultStart/End -> the LinkFaultSpec translated to a
-//    DatagramFaultSpec on the LossyDatagramNetwork link.
-//  * ChurnDropEdge/ChurnAddEdge -> overlay edge accounting plus live
-//    neighbor updates, with the same connectivity guard as the simulator.
-//
-// Events are driven from the reactor's timer queue, but every log line is
-// stamped with the event's *scheduled* time and every skip decision depends
-// only on bridge-internal state that is a pure function of the schedule —
-// so the injected-fault log is byte-identical across replays of the same
-// (seed, profile), no matter how the wall clock jitters.
+// in-process or multi-process real-runtime cluster through the simulator's
+// own FaultInjector, which decides when each event fires, whether it is
+// skipped, the deferred wipe, the counters and the log. The bridge supplies
+// only the runtime's hooks:
+//  * schedule -> a reactor timer at the event's time (reactor time, counted
+//    from reactor construction; an event already due fires at once, in
+//    schedule order);
+//  * CrashFault/RestartFault -> the harness's teardown / rebuild of the
+//    node's socket stack around its stable GatedTransport facade;
+//  * PartitionFault/HealFault and LinkFaultStart/End -> per-directed-link
+//    DatagramFaultSpecs (a cut is loss 1.0, layered over any active fault
+//    window, which a heal re-exposes). Without set_link/clear_link (the TCP
+//    lane) these events are logged as skipped;
+//  * ChurnDropEdge/ChurnAddEdge -> overlay edge accounting plus the
+//    harness's live neighbor updates.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <map>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "fault/datagram_faults.hpp"
-#include "fault/fault_schedule.hpp"
-#include "overlay/graph.hpp"
+#include "fault/injector.hpp"
 #include "runtime/reactor.hpp"
 
 namespace gossipc::runtime {
-
-/// LinkFaultSpec (stream semantics) translated to the datagram boundary:
-/// loss/duplicate/reorder map one-to-one, extra_delay shifts every delivery,
-/// and truncation stays zero (a stream fault window cannot express it).
-fault::DatagramFaultSpec to_datagram_spec(const LinkFaultSpec& spec);
 
 class ChaosBridge {
 public:
@@ -52,7 +36,7 @@ public:
         std::function<void(ProcessId)> crash_node;
         /// Re-creates process p's socket stack; `wiped` says its crash lost
         /// durable state (the harness wipes the PaxosProcess before or at
-        /// re-attach, mirroring Deployment's wipe hook).
+        /// re-attach, as Deployment's restart hook does).
         std::function<void(ProcessId, bool wiped)> restart_node;
         /// Installs the effective fault spec on the directed link from->to.
         std::function<void(ProcessId from, ProcessId to,
@@ -61,77 +45,44 @@ public:
         /// Removes the per-link override (the ambient default applies again).
         std::function<void(ProcessId from, ProcessId to)> clear_link;
         /// The runtime overlay, mutated by churn. Null = no overlay (Direct
-        /// mode / TCP lane): churn events are logged as skipped, exactly as
-        /// the hook-less FaultInjector does.
+        /// mode): churn events are logged as skipped.
         Graph* overlay = nullptr;
         /// Live neighbor updates after an overlay edge change.
         std::function<void(ProcessId a, ProcessId b)> drop_edge;
         std::function<void(ProcessId a, ProcessId b)> add_edge;
     };
 
-    /// Field-for-field the FaultInjector's counters, so a runtime replay is
-    /// comparable to its simulator twin.
-    struct Counters {
-        std::uint64_t applied = 0;
-        std::uint64_t skipped = 0;
-        std::uint64_t crashes = 0;
-        std::uint64_t restarts = 0;
-        std::uint64_t wipes = 0;
-        std::uint64_t partitions = 0;
-        std::uint64_t heals = 0;
-        std::uint64_t link_faults = 0;
-        std::uint64_t link_fault_ends = 0;
-        std::uint64_t edges_dropped = 0;
-        std::uint64_t edges_added = 0;
-    };
+    using Counters = FaultInjector::Counters;
 
     ChaosBridge(Reactor& reactor, int cluster_size, FaultSchedule schedule, Hooks hooks);
+    ChaosBridge(const ChaosBridge&) = delete;
+    ChaosBridge& operator=(const ChaosBridge&) = delete;
 
-    /// Schedules every event on the reactor relative to now. Call exactly
-    /// once, before running the loop.
-    void arm();
+    /// Schedules every event on the reactor at its time. Call exactly once.
+    void arm() { injector_.arm(); }
 
-    const FaultSchedule& schedule() const { return schedule_; }
-    const Counters& counters() const { return counters_; }
-    bool crashed(ProcessId p) const;
+    const FaultSchedule& schedule() const { return injector_.schedule(); }
+    const Counters& counters() const { return injector_.counters(); }
     /// True once every scheduled event has fired.
-    bool done() const { return fired_ == schedule_.size(); }
+    bool done() const { return injector_.done(); }
 
     /// The injected-fault log, one line per event in execution order,
     /// stamped with scheduled (not wall-clock) nanoseconds — byte-identical
     /// across replays of the same schedule.
-    const std::vector<std::string>& log() const { return log_; }
-    std::string rendered_log() const;
+    const std::vector<std::string>& log() const { return injector_.log(); }
+    std::string rendered_log() const { return injector_.rendered_log(); }
 
 private:
-    void apply(const FaultEvent& event);
-    void apply_crash(SimTime at, const CrashFault& f);
-    void apply_restart(SimTime at, const RestartFault& f);
-    void apply_partition(SimTime at, const PartitionFault& f);
-    void apply_heal(SimTime at);
-    void apply_link_start(SimTime at, const LinkFaultStart& f);
-    void apply_link_end(SimTime at, const LinkFaultEnd& f);
-    void apply_churn_drop(SimTime at, const ChurnDropEdge& f);
-    void apply_churn_add(SimTime at, const ChurnAddEdge& f);
-    void record(SimTime at, const FaultAction& action);
-    void record_skip(SimTime at, const FaultAction& action, const char* reason);
-
+    FaultInjector::Hooks injector_hooks(Reactor& reactor, Hooks hooks);
     /// Pushes the effective spec for from->to down to the network: a cut
     /// beats a window beats the ambient default.
     void refresh_link(ProcessId from, ProcessId to);
 
-    Reactor& reactor_;
-    int cluster_size_;
-    FaultSchedule schedule_;
-    Hooks hooks_;
-    bool armed_ = false;
-    std::size_t fired_ = 0;
-    std::vector<bool> crashed_;
-    std::unordered_map<ProcessId, bool> wipe_on_restart_;
+    std::function<void(ProcessId, ProcessId, const fault::DatagramFaultSpec&)> set_link_;
+    std::function<void(ProcessId, ProcessId)> clear_link_;
     std::set<std::pair<ProcessId, ProcessId>> cuts_;  ///< partitioned directed links
     std::map<std::pair<ProcessId, ProcessId>, fault::DatagramFaultSpec> windows_;
-    Counters counters_;
-    std::vector<std::string> log_;
+    FaultInjector injector_;
 };
 
 }  // namespace gossipc::runtime

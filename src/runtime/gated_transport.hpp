@@ -51,7 +51,6 @@ public:
     void attach(Transport* inner);
     /// Severs the inner transport (crash). The caller destroys it.
     void detach();
-    bool attached() const { return inner_ != nullptr; }
 
     // Transport interface.
     ProcessId self() const override { return self_; }

@@ -34,10 +34,14 @@ void Reactor::set_write_interest(int fd, bool enabled) {
     if (auto it = fds_.find(fd); it != fds_.end()) it->second.want_write = enabled;
 }
 
-Reactor::TimerId Reactor::schedule_after(SimTime delay, TimerFn fn) {
+Reactor::TimerId Reactor::schedule_at(SimTime at, TimerFn fn) {
     const TimerId id = next_timer_id_++;
-    timers_.push(Timer{now() + delay, id, SimTime::zero(), std::move(fn)});
+    timers_.push(Timer{at, id, SimTime::zero(), std::move(fn)});
     return id;
+}
+
+Reactor::TimerId Reactor::schedule_after(SimTime delay, TimerFn fn) {
+    return schedule_at(now() + delay, std::move(fn));
 }
 
 Reactor::TimerId Reactor::schedule_every(SimTime period, TimerFn fn) {

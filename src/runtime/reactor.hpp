@@ -9,8 +9,9 @@
 // no locks, no cross-thread state, which is exactly the execution model the
 // simulator gives a Node's serial CPU.
 //
-// schedule_after/schedule_every mirror Simulator::schedule_after and the
-// transports' schedule_every re-arming chain; post() mirrors Node::post.
+// schedule_at/schedule_after/schedule_every mirror the simulator's absolute
+// and relative timers and the transports' schedule_every re-arming chain;
+// post() mirrors Node::post.
 #pragma once
 
 #include <cstdint>
@@ -58,6 +59,9 @@ public:
     void set_write_interest(int fd, bool enabled);
 
     // -- timers -------------------------------------------------------------
+    /// Fires at reactor time `at`; a deadline already past fires on the next
+    /// iteration. Equal deadlines fire in scheduling order.
+    TimerId schedule_at(SimTime at, TimerFn fn);
     TimerId schedule_after(SimTime delay, TimerFn fn);
     /// Fires every `period` until cancelled, starting one period from now.
     /// The next deadline is armed from the previous deadline (not from fire

@@ -190,13 +190,11 @@ void RealTransport::schedule_every(SimTime period, std::function<void(CpuContext
 }
 
 void RealTransport::call_at(SimTime at, std::function<void()> fn) {
-    const SimTime now = reactor_.now();
-    reactor_.schedule_after(at > now ? at - now : SimTime::zero(),
-                            [fn = std::move(fn), alive = std::weak_ptr<bool>(alive_)] {
-                                const auto guard = alive.lock();
-                                if (!guard || !*guard) return;
-                                fn();
-                            });
+    reactor_.schedule_at(at, [fn = std::move(fn), alive = std::weak_ptr<bool>(alive_)] {
+        const auto guard = alive.lock();
+        if (!guard || !*guard) return;
+        fn();
+    });
 }
 
 void RealTransport::post(std::function<void(CpuContext&)> fn) {

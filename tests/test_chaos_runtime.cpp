@@ -213,6 +213,38 @@ TEST(RuntimeChaosTcp, CrashRestartScheduleKeepsAgreementOverTcp) {
     EXPECT_EQ(cluster.bridge().rendered_log(), expected_log);
 }
 
+// The TCP lane cannot fault one link: a bridge without set_link/clear_link
+// hooks logs partitions, heals, link faults and their ends as skipped, and
+// counts none of them as applied.
+TEST(RuntimeChaosTcp, LinkLanesWithoutDatagramHooksAreSkipped) {
+    LinkFaultSpec spec;
+    spec.loss = 0.5;
+    FaultSchedule schedule;
+    schedule.partition(SimTime::millis(1), {1, 2});
+    schedule.link_fault(SimTime::millis(2), 0, 1, spec);
+    schedule.heal(SimTime::millis(3));
+    schedule.link_fault_end(SimTime::millis(4), 0, 1);
+    Reactor reactor;
+    ChaosBridge::Hooks hooks;
+    hooks.crash_node = [](ProcessId) {};
+    hooks.restart_node = [](ProcessId, bool) {};
+    ChaosBridge bridge(reactor, 5, std::move(schedule), std::move(hooks));
+    bridge.arm();
+    ASSERT_TRUE(reactor.run_until([&] { return bridge.done(); }, SimTime::seconds(5)));
+    EXPECT_EQ(bridge.counters().partitions, 0u);
+    EXPECT_EQ(bridge.counters().heals, 0u);
+    EXPECT_EQ(bridge.counters().link_faults, 0u);
+    EXPECT_EQ(bridge.counters().link_fault_ends, 0u);
+    EXPECT_EQ(bridge.counters().applied, 0u);
+    EXPECT_EQ(bridge.counters().skipped, 4u);
+    EXPECT_EQ(bridge.rendered_log(),
+              "1000000 partition {1,2} [skipped: no datagram lane]\n"
+              "2000000 link-fault 0->1 loss=0.5 delay_ns=0 dup=0 reorder_ns=0"
+              " [skipped: no datagram lane]\n"
+              "3000000 heal [skipped: no datagram lane]\n"
+              "4000000 link-fault-end 0->1 [skipped: no datagram lane]\n");
+}
+
 // -- runtime fault-pressure metrics -------------------------------------------
 
 // The unified registry names the runtime publishes (gclint's metrics-hygiene

@@ -74,6 +74,31 @@ TEST(Reactor, TimersFireInDeadlineOrder) {
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
+TEST(Reactor, ScheduleAtFiresEqualDeadlinesInSchedulingOrder) {
+    Reactor r;
+    std::vector<int> order;
+    const SimTime at = r.now() + ms(2);
+    for (int i = 0; i < 5; ++i) r.schedule_at(at, [&order, i] { order.push_back(i); });
+    r.schedule_at(at - ms(1), [&] { order.push_back(-1); });
+    EXPECT_TRUE(r.run_until([&] { return order.size() == 6; }, ms(500)));
+    EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3, 4}));
+    EXPECT_GE(r.now(), at);
+}
+
+TEST(Reactor, ScheduleAtPastDeadlineFiresOnNextIteration) {
+    Reactor r;
+    r.run_until([] { return false; }, ms(3));
+    std::vector<int> order;
+    r.schedule_at(ms(2), [&] { order.push_back(2); });
+    r.schedule_at(ms(1), [&] { order.push_back(1); });
+    r.schedule_at(ms(2), [&] { order.push_back(3); });
+    const std::uint64_t polls = r.stats().polls;
+    EXPECT_TRUE(r.run_until([&] { return order.size() == 3; }, ms(500)));
+    // All three fired before the first poll of the first iteration.
+    EXPECT_EQ(r.stats().polls - polls, 1u);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
 TEST(Reactor, PeriodicTimerRepeats) {
     Reactor r;
     int fired = 0;

@@ -258,16 +258,19 @@ TEST(Regression, ChaosCorpusInjectedFaultLogIsPinned) {
               "45000000 churn-drop 0-1 [skipped: no overlay]\n");
 }
 
-// Runtime chaos-bridge corpus: the injected-fault log the ChaosBridge
-// produces for the acceptance sweep's failover cell (13 processes,
-// heavy_failover, seed 101). Log lines are stamped with scheduled — not
-// wall-clock — time and every skip decision is a pure function of the
-// schedule and overlay, so the log is byte-identical no matter how the
-// real reactor's clock jitters. Stub hooks stand in for the socket stack:
-// the log does not depend on what the hooks do, only on their presence.
+// Chaos corpus for both substrates: the injected-fault log of the
+// acceptance sweep's failover cell (13 processes, heavy_failover, seed 101).
+// One FaultInjector decides every line on either substrate. Lines are
+// stamped with scheduled — not wall-clock — time and every skip decision is
+// a pure function of the schedule and overlay, so the runtime bridge's log
+// is byte-identical no matter how the real reactor's clock jitters, and a
+// simulator Deployment fed the same schedule renders the same string. Stub
+// hooks stand in for the socket stack: the log does not depend on what the
+// hooks do, only on their presence.
 TEST(Regression, RuntimeChaosBridgeHeavyFailoverLogSeed101) {
     Graph overlay = make_connected_overlay(13, 42);
-    auto schedule = generate_chaos(13, 0, ChaosProfile::heavy_failover(), 101, &overlay);
+    const auto schedule =
+        generate_chaos(13, 0, ChaosProfile::heavy_failover(), 101, &overlay);
     runtime::Reactor reactor;
     runtime::ChaosBridge::Hooks hooks;
     hooks.crash_node = [](ProcessId) {};
@@ -277,7 +280,7 @@ TEST(Regression, RuntimeChaosBridgeHeavyFailoverLogSeed101) {
     hooks.overlay = &overlay;
     hooks.drop_edge = [](ProcessId, ProcessId) {};
     hooks.add_edge = [](ProcessId, ProcessId) {};
-    runtime::ChaosBridge bridge(reactor, 13, std::move(schedule), std::move(hooks));
+    runtime::ChaosBridge bridge(reactor, 13, schedule, std::move(hooks));
     bridge.arm();
     // The reactor is a real poll(2) loop: this replays the full 2.25s chaos
     // window in wall time.
@@ -331,6 +334,18 @@ TEST(Regression, RuntimeChaosBridgeHeavyFailoverLogSeed101) {
         "2016736543 restart p7\n"
         "2250000000 churn-add 2-8\n"
         "2250000000 churn-drop 0-4\n");
+
+    // The simulator, on its own copy of the default overlay (seed 42).
+    ExperimentConfig cfg;
+    cfg.setup = Setup::Gossip;
+    cfg.n = 13;
+    cfg.failover = true;
+    cfg.faults = schedule;
+    Deployment d(cfg);
+    d.start_processes();
+    d.simulator().run_until(SimTime::millis(2300));
+    ASSERT_TRUE(d.fault_injector()->done());
+    EXPECT_EQ(d.fault_injector()->rendered_log(), bridge.rendered_log());
 }
 
 // UDP datagram-fate corpus: the same replay contract for the lossy-link
