@@ -94,8 +94,7 @@ void ConnectionManager::on_listener_ready() {
         conn.fd = fd;
         conns_.emplace(fd, std::move(conn));
         reactor_.add_fd(fd, [this, fd](bool r, bool w, bool e) { on_conn_event(fd, r, w, e); });
-        auto& c = conns_.at(fd);
-        enqueue(c, wire::encode_hello_frame(wire::Hello{self_, size()}));
+        send_hello(conns_.at(fd));
     }
 }
 
@@ -113,7 +112,7 @@ void ConnectionManager::on_conn_event(int fd, bool readable, bool writable, bool
         conn.connecting = false;
         reactor_.set_read_interest(fd, true);
         reactor_.set_write_interest(fd, false);
-        enqueue(conn, wire::encode_hello_frame(wire::Hello{self_, size()}));
+        send_hello(conn);
         return;
     }
     if (error) {
@@ -236,10 +235,24 @@ void ConnectionManager::drop_conn(int fd) {
     }
 }
 
-void ConnectionManager::enqueue(Conn& conn, std::vector<std::uint8_t> frame) {
-    conn.out_bytes += frame.size();
-    conn.outq.push_back(std::move(frame));
-    handle_writable(conn);  // opportunistic flush; arms write interest if partial
+void ConnectionManager::send_hello(Conn& conn) {
+    enqueue(conn, wire::FrameType::Hello, wire::encode_hello(wire::Hello{self_, size()}));
+}
+
+void ConnectionManager::enqueue(Conn& conn, wire::FrameType type,
+                                std::span<const std::uint8_t> payload) {
+    const bool idle = conn.out.empty();
+    wire::append_frame(conn.out, type, payload);
+    if (!idle) return;  // a flush is posted or POLLOUT is armed already
+    // Flush on the next loop turn, so every frame queued in this turn (a
+    // broadcast fan-out, a gossip drain batch) leaves in one send(2). Posted
+    // tasks cannot be cancelled, so the task checks the alive flag and looks
+    // the connection up again: either may be gone (chaos crash, drop_conn).
+    reactor_.post([this, fd = conn.fd, alive = std::weak_ptr<bool>(alive_)] {
+        const auto guard = alive.lock();
+        if (!guard || !*guard) return;
+        if (auto it = conns_.find(fd); it != conns_.end()) handle_writable(it->second);
+    });
 }
 
 bool ConnectionManager::send_frame(ProcessId to, wire::FrameType type,
@@ -251,39 +264,48 @@ bool ConnectionManager::send_frame(ProcessId to, wire::FrameType type,
         ++counters_.send_drops_down;
         return false;
     }
-    Conn& conn = it->second;
     const std::size_t frame_bytes = wire::kFrameHeaderBytes + payload.size();
-    if (conn.out_bytes + frame_bytes > params_.write_queue_cap_bytes) {
-        ++counters_.send_drops_backpressure;
-        return false;
+    const auto over_cap = [&] {
+        return it->second.out.size() + frame_bytes > params_.write_queue_cap_bytes;
+    };
+    if (over_cap()) {
+        // The turn's flush has not run yet: flush now, and drop the frame
+        // only if the kernel will not take enough.
+        handle_writable(it->second);
+        it = conns_.find(fd);
+        if (it == conns_.end()) {  // the flush failed and dropped the link
+            ++counters_.send_drops_down;
+            return false;
+        }
+        if (over_cap()) {
+            ++counters_.send_drops_backpressure;
+            return false;
+        }
     }
     ++counters_.frames_sent;
-    enqueue(conn, wire::encode_frame(type, payload));
+    enqueue(it->second, type, payload);
     return true;
 }
 
 void ConnectionManager::handle_writable(Conn& conn) {
     if (conn.connecting) return;
     const int fd = conn.fd;
-    while (!conn.outq.empty()) {
-        const std::vector<std::uint8_t>& front = conn.outq.front();
-        const std::size_t len = front.size() - conn.front_offset;
-        const ssize_t n = ::send(fd, front.data() + conn.front_offset, len, MSG_NOSIGNAL);
+    std::size_t sent = 0;
+    while (sent < conn.out.size()) {
+        const ssize_t n =
+            ::send(fd, conn.out.data() + sent, conn.out.size() - sent, MSG_NOSIGNAL);
         if (n < 0) {
             if (errno == EAGAIN || errno == EWOULDBLOCK) break;
             if (errno == EINTR) continue;
             drop_conn(fd);
             return;
         }
+        ++counters_.writes;
         counters_.bytes_sent += static_cast<std::uint64_t>(n);
-        conn.out_bytes -= static_cast<std::size_t>(n);
-        conn.front_offset += static_cast<std::size_t>(n);
-        if (conn.front_offset == front.size()) {
-            conn.outq.pop_front();
-            conn.front_offset = 0;
-        }
+        sent += static_cast<std::size_t>(n);
     }
-    reactor_.set_write_interest(fd, !conn.outq.empty());
+    conn.out.erase(conn.out.begin(), conn.out.begin() + static_cast<std::ptrdiff_t>(sent));
+    reactor_.set_write_interest(fd, !conn.out.empty());
 }
 
 bool ConnectionManager::peer_up(ProcessId peer) const {

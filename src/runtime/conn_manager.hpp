@@ -9,15 +9,18 @@
 // connections are simply awaited again. When a peer restarts and dials
 // anew while a stale connection lingers, the newest connection wins.
 //
-// Writes go through a per-connection queue capped in bytes: a frame that
-// would push the queue past the cap is dropped and counted, mirroring the
-// gossip layer's bounded per-peer send queues — backpressure shows up as
-// message loss (which the protocol already tolerates), not as unbounded
-// memory.
+// Writes go through one contiguous byte buffer per connection: frames are
+// appended in place, and the first frame queued in a reactor turn posts one
+// flush, so a turn's frames leave in one send(2) (as UdpLink clusters a
+// turn's bodies into one datagram). Whatever the kernel does not take waits
+// for POLLOUT. The unsent bytes are capped: a frame that would cross the
+// cap first forces a flush and is dropped, and counted, only if the kernel
+// will not take enough — mirroring the gossip layer's bounded per-peer send
+// queues, backpressure shows up as message loss (which the protocol already
+// tolerates), not as unbounded memory.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
@@ -39,7 +42,7 @@ struct PeerAddress {
 class ConnectionManager final : public PeerChannel {
 public:
     struct Params {
-        /// Per-connection write-queue cap (bytes); frames beyond it drop.
+        /// Per-connection cap on unsent bytes; frames beyond it drop.
         std::size_t write_queue_cap_bytes = 4u << 20;
         SimTime reconnect_backoff_initial = SimTime::millis(50);
         SimTime reconnect_backoff_max = SimTime::seconds(2);
@@ -53,6 +56,7 @@ public:
         std::uint64_t frames_sent = 0;
         std::uint64_t frames_received = 0;
         std::uint64_t bytes_sent = 0;
+        std::uint64_t writes = 0;            ///< send(2) calls that moved bytes
         std::uint64_t bytes_received = 0;
         std::uint64_t send_drops_down = 0;   ///< sends while the link was down
         std::uint64_t send_drops_backpressure = 0;  ///< write-queue cap hit
@@ -80,8 +84,9 @@ public:
     /// keeps re-dialing on failure until the manager is destroyed.
     void link(ProcessId peer) override;
 
-    /// Queues one frame to `to`. False (and a counter bump) when the link is
-    /// down or the write queue is over its cap — the frame is dropped.
+    /// Queues one frame to `to`; it leaves with the turn's flush. False (and
+    /// a counter bump) when the link is down or the unsent bytes would cross
+    /// the cap even after a flush — the frame is dropped.
     bool send_frame(ProcessId to, wire::FrameType type,
                     std::span<const std::uint8_t> payload);
 
@@ -107,9 +112,9 @@ private:
         bool connecting = false;    ///< non-blocking connect still in progress
         bool hello_received = false;
         wire::FrameParser parser;
-        std::deque<std::vector<std::uint8_t>> outq;
-        std::size_t out_bytes = 0;      ///< queued bytes across outq
-        std::size_t front_offset = 0;   ///< bytes of outq.front() already sent
+        /// Unsent frames, back to back. Non-empty means a flush is posted
+        /// or POLLOUT is armed.
+        std::vector<std::uint8_t> out;
     };
 
     bool dials(ProcessId peer) const { return self_ < peer; }
@@ -118,13 +123,18 @@ private:
     void on_listener_ready();
     void on_conn_event(int fd, bool readable, bool writable, bool error);
     void handle_readable(Conn& conn);
+    /// Writes `conn.out` until EAGAIN and arms POLLOUT for the rest. May
+    /// drop the connection (invalidating `conn`) on a send error.
     void handle_writable(Conn& conn);
     void handle_hello(Conn& conn, std::span<const std::uint8_t> payload);
     void adopt(Conn& conn, ProcessId peer);
     /// Closes and forgets the connection; schedules a redial when this side
     /// dials the peer. Invalidates the Conn reference.
     void drop_conn(int fd);
-    void enqueue(Conn& conn, std::vector<std::uint8_t> frame);
+    /// Appends one frame to the connection's buffer; the first frame of an
+    /// empty buffer posts the flush.
+    void enqueue(Conn& conn, wire::FrameType type, std::span<const std::uint8_t> payload);
+    void send_hello(Conn& conn);
 
     Reactor& reactor_;
     ProcessId self_;
@@ -140,8 +150,9 @@ private:
     std::vector<bool> linked_;                   ///< peers this node keeps connected
     std::vector<SimTime> backoff_;               ///< next redial delay per peer
     std::vector<bool> redial_pending_;           ///< a redial timer is armed
-    /// Guards the redial timers, which cannot be cancelled individually and
-    /// may fire after the manager is destroyed (chaos crash teardown).
+    /// Guards the redial timers and posted flushes, which cannot be cancelled
+    /// individually and may run after the manager is destroyed (chaos crash
+    /// teardown).
     std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
     Counters counters_;
 };

@@ -101,27 +101,26 @@ void Reactor::iterate(SimTime max_wait) {
     fire_due_timers();
     if (stopped_) return;
 
-    SimTime wait = std::min(next_timer_delay(), max_wait);
-    if (!posted_.empty()) wait = SimTime::zero();
-    wait = std::min(wait, kMaxPollWait);
+    // Sleep exactly until the next deadline (ppoll takes nanoseconds; poll's
+    // whole milliseconds would wake a timer up to 1 ms late), and not at all
+    // while a task is posted.
+    const SimTime wait = posted_.empty()
+                             ? std::min({next_timer_delay(), max_wait, kMaxPollWait})
+                             : SimTime::zero();
+    const timespec timeout{static_cast<time_t>(wait.as_nanos() / 1'000'000'000),
+                           static_cast<long>(wait.as_nanos() % 1'000'000'000)};
 
-    std::vector<pollfd> pfds;
-    std::vector<int> order;
-    pfds.reserve(fds_.size());
-    order.reserve(fds_.size());
+    pfds_.clear();
     for (const auto& [fd, entry] : fds_) {
         short events = 0;
         if (entry.want_read) events |= POLLIN;
         if (entry.want_write) events |= POLLOUT;
-        pfds.push_back(pollfd{fd, events, 0});
-        order.push_back(fd);
+        pfds_.push_back(pollfd{fd, events, 0});
     }
 
-    const int timeout_ms =
-        static_cast<int>(std::min<std::int64_t>(wait.as_nanos() / 1'000'000 + 1, 1000));
     ++stats_.polls;
-    const int rc = ::poll(pfds.empty() ? nullptr : pfds.data(),
-                          static_cast<nfds_t>(pfds.size()), timeout_ms);
+    const int rc = ::ppoll(pfds_.empty() ? nullptr : pfds_.data(),
+                           static_cast<nfds_t>(pfds_.size()), &timeout, nullptr);
     if (rc < 0) {
         // EINTR (signal) and EAGAIN (transient kernel resource pressure —
         // datagram-socket-heavy loops see it) are handled uniformly: return
@@ -139,11 +138,11 @@ void Reactor::iterate(SimTime max_wait) {
         ::nanosleep(&backoff, nullptr);
         return;
     }
-    for (std::size_t i = 0; i < pfds.size(); ++i) {
-        const short re = pfds[i].revents;
+    for (const pollfd& pfd : pfds_) {
+        const short re = pfd.revents;
         if (re == 0) continue;
         // The callback may remove fds (including its own); re-check.
-        auto it = fds_.find(order[i]);
+        auto it = fds_.find(pfd.fd);
         if (it == fds_.end()) continue;
         const bool err = (re & (POLLERR | POLLHUP | POLLNVAL)) != 0;
         // Copying the handler keeps it alive if the callback removes the fd.

@@ -1,5 +1,7 @@
-// Real-clock event loop (DESIGN.md §10): a single-threaded poll(2) reactor
-// with monotonic timers mirroring the simulator's timer API.
+// Real-clock event loop (DESIGN.md §10): a single-threaded ppoll(2) reactor
+// with monotonic timers mirroring the simulator's timer API. Each turn
+// sleeps exactly until the next timer deadline, and not at all while posted
+// work is queued.
 //
 // Time is reported as SimTime measured from reactor construction on the
 // monotonic clock, so the protocol stack's SimTime-based configuration
@@ -13,6 +15,8 @@
 // and relative timers and the transports' schedule_every re-arming chain;
 // post() mirrors Node::post.
 #pragma once
+
+#include <poll.h>
 
 #include <cstdint>
 #include <chrono>
@@ -37,10 +41,10 @@ public:
 
     /// Loop health counters. Timers are deadline-checked, so an interrupted
     /// poll can never fire one early — `interrupted` counts how often that
-    /// was exercised; `poll_errors` counts hard poll(2) failures, each of
+    /// was exercised; `poll_errors` counts hard ppoll(2) failures, each of
     /// which backs off briefly instead of busy-spinning.
     struct Stats {
-        std::uint64_t polls = 0;        ///< poll(2) calls issued
+        std::uint64_t polls = 0;        ///< ppoll(2) calls issued
         std::uint64_t interrupted = 0;  ///< EINTR/EAGAIN returns
         std::uint64_t poll_errors = 0;  ///< other poll failures (backoff taken)
     };
@@ -115,6 +119,9 @@ private:
 
     std::chrono::steady_clock::time_point start_;
     std::unordered_map<int, FdEntry> fds_;
+    /// The poll set, rebuilt each turn in place so a turn allocates nothing
+    /// (iterate() is not re-entrant).
+    std::vector<pollfd> pfds_;
     std::priority_queue<Timer, std::vector<Timer>, TimerOrder> timers_;
     std::unordered_set<TimerId> cancelled_;
     std::uint64_t next_timer_id_ = 1;

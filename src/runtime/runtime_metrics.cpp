@@ -157,6 +157,7 @@ void fill_metrics(MetricsRegistry& reg, const ConnectionManager::Counters& c) {
     reg.counter("conn.frames_sent").set(c.frames_sent);
     reg.counter("conn.frames_received").set(c.frames_received);
     reg.counter("conn.bytes_sent").set(c.bytes_sent);
+    reg.counter("conn.writes").set(c.writes);
     reg.counter("conn.bytes_received").set(c.bytes_received);
     reg.counter("conn.send_drops_down").set(c.send_drops_down);
     reg.counter("conn.send_drops_backpressure").set(c.send_drops_backpressure);

@@ -6,14 +6,6 @@ namespace gossipc::wire {
 
 namespace {
 
-void put_header(WireWriter& out, FrameType type, std::uint32_t length) {
-    out.u32(kFrameMagic);
-    out.u8(kWireVersion);
-    out.u8(static_cast<std::uint8_t>(type));
-    out.u16(0);  // flags, reserved
-    out.u32(length);
-}
-
 /// Validates a 12-byte header; returns the payload length via `length`.
 WireError check_header(WireReader& in, FrameType& type, std::uint32_t& length) {
     const std::uint32_t magic = in.u32();
@@ -36,19 +28,36 @@ WireError check_header(WireReader& in, FrameType& type, std::uint32_t& length) {
 
 }  // namespace
 
-std::vector<std::uint8_t> encode_frame(FrameType type,
-                                       std::span<const std::uint8_t> payload) {
-    WireWriter out;
-    put_header(out, type, static_cast<std::uint32_t>(payload.size()));
-    out.bytes(payload);
-    return out.take();
+void append_frame(std::vector<std::uint8_t>& out, FrameType type,
+                  std::span<const std::uint8_t> payload) {
+    const auto length = static_cast<std::uint32_t>(payload.size());
+    std::uint8_t header[kFrameHeaderBytes];
+    std::memcpy(header, &kFrameMagic, 4);
+    header[4] = kWireVersion;
+    header[5] = static_cast<std::uint8_t>(type);
+    header[6] = header[7] = 0;  // flags, reserved
+    std::memcpy(header + 8, &length, 4);
+    out.insert(out.end(), header, header + kFrameHeaderBytes);
+    out.insert(out.end(), payload.begin(), payload.end());
 }
 
-std::vector<std::uint8_t> encode_hello_frame(const Hello& hello) {
+std::vector<std::uint8_t> encode_frame(FrameType type,
+                                       std::span<const std::uint8_t> payload) {
+    std::vector<std::uint8_t> out;
+    out.reserve(kFrameHeaderBytes + payload.size());
+    append_frame(out, type, payload);
+    return out;
+}
+
+std::vector<std::uint8_t> encode_hello(const Hello& hello) {
     WireWriter payload;
     payload.i32(hello.sender);
     payload.i32(hello.cluster_size);
-    return encode_frame(FrameType::Hello, payload.data());
+    return payload.take();
+}
+
+std::vector<std::uint8_t> encode_hello_frame(const Hello& hello) {
+    return encode_frame(FrameType::Hello, encode_hello(hello));
 }
 
 WireError decode_hello(std::span<const std::uint8_t> payload, Hello& out) {

@@ -52,8 +52,15 @@ struct Frame {
     std::span<const std::uint8_t> payload;
 };
 
+/// Appends one frame (header, then `payload`) to `out` in place: the
+/// connection manager's per-connection send buffer grows frame by frame.
+/// Little-endian hosts only, as WireWriter.
+void append_frame(std::vector<std::uint8_t>& out, FrameType type,
+                  std::span<const std::uint8_t> payload);
 std::vector<std::uint8_t> encode_frame(FrameType type,
                                        std::span<const std::uint8_t> payload);
+/// A Hello frame's payload, and the whole frame.
+std::vector<std::uint8_t> encode_hello(const Hello& hello);
 std::vector<std::uint8_t> encode_hello_frame(const Hello& hello);
 
 /// Decodes a Hello payload (strict: exact length).

@@ -12,6 +12,7 @@
 
 #include <fcntl.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -337,6 +338,50 @@ TEST(Reactor, IdleLoopIsNotHot) {
     r.run_until([] { return false; }, ms(50));
     EXPECT_LE(r.stats().polls, 100u);
     EXPECT_EQ(r.stats().poll_errors, 0u);
+}
+
+// -- wake-up precision ---------------------------------------------------------
+
+/// Median of 21 samples: one descheduled slice on a shared machine moves
+/// a sample, not the median.
+std::int64_t median(std::vector<std::int64_t> v) {
+    std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2), v.end());
+    return v[v.size() / 2];
+}
+
+TEST(Reactor, SubMillisecondTimerWakesNearItsDeadline) {
+    // The poll timeout is the exact time to the deadline, not a whole
+    // millisecond rounded up: a 200 us timer in an idle loop fires well
+    // under a millisecond late.
+    Reactor r;
+    std::vector<std::int64_t> late_us;
+    for (int i = 0; i < 21; ++i) {
+        const SimTime at = r.now() + SimTime::micros(200);
+        SimTime fired_at = SimTime::zero();
+        r.schedule_at(at, [&] { fired_at = r.now(); });
+        ASSERT_TRUE(r.run_until([&] { return fired_at > SimTime::zero(); }, ms(500)));
+        EXPECT_GE(fired_at, at);
+        late_us.push_back((fired_at - at).as_micros());
+    }
+    EXPECT_LT(median(late_us), 500) << "median lateness in us";
+}
+
+TEST(Reactor, TaskPostedFromATimerRunsWithoutWaiting) {
+    // Posted work makes the next poll a zero wait, so a task posted from a
+    // timer callback runs on the very next turn.
+    Reactor r;
+    std::vector<std::int64_t> wait_us;
+    for (int i = 0; i < 21; ++i) {
+        SimTime posted_at = SimTime::zero();
+        SimTime ran_at = SimTime::zero();
+        r.schedule_after(SimTime::micros(100), [&] {
+            posted_at = r.now();
+            r.post([&] { ran_at = r.now(); });
+        });
+        ASSERT_TRUE(r.run_until([&] { return ran_at > SimTime::zero(); }, ms(500)));
+        wait_us.push_back((ran_at - posted_at).as_micros());
+    }
+    EXPECT_LT(median(wait_us), 300) << "median post-to-run wait in us";
 }
 
 TEST(Reactor, TimerAndIoInterleave) {

@@ -17,6 +17,10 @@
 // seconds) while actual runs complete in tens of milliseconds.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
+#include <algorithm>
+#include <cstring>
 #include <memory>
 #include <set>
 #include <string>
@@ -36,6 +40,7 @@
 #include "test_util.hpp"
 #include "trace/tracer.hpp"
 #include "wire/codec.hpp"
+#include "wire/frame.hpp"
 
 namespace gossipc::runtime {
 namespace {
@@ -54,7 +59,7 @@ TEST(RealTransport, MeshComesUp) {
         for (const auto& sample : reg.snapshot()) names.insert(sample.name);
         for (const char* name :
              {"conn.dials", "conn.accepts", "conn.links_up", "conn.disconnects",
-              "conn.frames_sent", "conn.frames_received", "conn.bytes_sent",
+              "conn.frames_sent", "conn.frames_received", "conn.bytes_sent", "conn.writes",
               "conn.bytes_received", "conn.send_drops_down", "conn.send_drops_backpressure",
               "conn.protocol_errors"}) {
             EXPECT_TRUE(names.count(name)) << "missing metric " << name;
@@ -105,6 +110,15 @@ TEST(RealTransport, SemanticClusterAgrees) {
     EXPECT_GT(cluster.sum("semantic.aggregates_built"), 0u);
     EXPECT_EQ(cluster.sum("transport.decode_errors"), 0u);
 
+    // A burst moves in lockstep: every node aggregates an instance's votes
+    // before any Decision exists, so the filter has nothing to drop. A
+    // second wave staggered over 100 ms overlaps instances, so Decisions
+    // overtake late votes and the filter drops them.
+    cluster.submit(kValues, SimTime::millis(100));
+    ASSERT_TRUE(cluster.run_until_settled(2 * kValues)) << "second wave did not converge";
+    cluster.expect_agreement(2 * kValues);
+    EXPECT_EQ(cluster.sum("transport.decode_errors"), 0u);
+
     // The runtime records the simulator's gossip stages.
     std::set<trace::Stage> stages;
     for (const trace::Event& e : tracer.events()) stages.insert(e.stage);
@@ -132,6 +146,134 @@ TEST(RealTransport, SecondWaveAfterQuiescence) {
     cluster.submit(kSecond);
     ASSERT_TRUE(cluster.run_until_settled(kFirst + kSecond));
     cluster.expect_agreement(kFirst + kSecond);
+}
+
+// -- the connection manager's write path ---------------------------------------
+
+/// A bound loopback listener on an ephemeral port, and its address.
+std::pair<int, PeerAddress> loopback_listener() {
+    std::string err;
+    const int fd = listen_tcp("127.0.0.1", 0, &err);
+    EXPECT_GE(fd, 0) << err;
+    return {fd, PeerAddress{"127.0.0.1", local_port(fd)}};
+}
+
+/// Payload number `i`: `size` bytes opening with the index, distinct per i.
+std::vector<std::uint8_t> numbered_payload(int i, std::size_t size) {
+    std::vector<std::uint8_t> p(size);
+    for (std::size_t j = 0; j < size; ++j) p[j] = static_cast<std::uint8_t>(i * 7 + j);
+    std::memcpy(p.data(), &i, sizeof i);
+    return p;
+}
+
+TEST(RealTransport, FramesQueuedInOneTurnLeaveInOneWrite) {
+    Reactor reactor;
+    const auto [fd0, addr0] = loopback_listener();
+    const auto [fd1, addr1] = loopback_listener();
+    ConnectionManager sender(reactor, 0, {addr0, addr1}, fd0, {});
+    ConnectionManager receiver(reactor, 1, {addr0, addr1}, fd1, {});
+    std::vector<std::vector<std::uint8_t>> got;
+    receiver.set_body_handler([&](ProcessId from, std::span<const std::uint8_t> bytes) {
+        EXPECT_EQ(from, 0);
+        got.emplace_back(bytes.begin(), bytes.end());
+    });
+    sender.link(1);
+    receiver.link(0);
+    ASSERT_TRUE(reactor.run_until([&] { return sender.peer_up(1) && receiver.peer_up(0); },
+                                  SimTime::seconds(10)));
+
+    std::vector<std::vector<std::uint8_t>> sent;
+    for (int i = 0; i < 50; ++i) sent.push_back(numbered_payload(i, 100));
+    const std::uint64_t writes = sender.counters().writes;
+    reactor.post([&] {
+        for (const auto& p : sent) EXPECT_TRUE(sender.send_body(1, p, false));
+    });
+    ASSERT_TRUE(reactor.run_until([&] { return got.size() == sent.size(); },
+                                  SimTime::seconds(10)));
+    EXPECT_EQ(sender.counters().writes - writes, 1u);
+    EXPECT_EQ(got, sent);
+}
+
+TEST(RealTransport, PeerThatNeverReadsMeetsTheWriteQueueCap) {
+    // A raw peer accepts the connection, says Hello and stops reading. The
+    // manager admits frames until the kernel's buffers and the cap are
+    // full, then drops and counts: unsent bytes never exceed the cap, and a
+    // frame is dropped only when it would cross the cap after a flush. Once
+    // the peer reads, every admitted frame arrives, in order and intact.
+    constexpr std::size_t kCap = 64u << 10;
+    constexpr std::size_t kPayload = 1000;
+    constexpr std::size_t kFrame = wire::kFrameHeaderBytes + kPayload;
+    const std::size_t hello_bytes = wire::encode_hello_frame(wire::Hello{0, 2}).size();
+
+    Reactor reactor;
+    const auto [own_fd, own_addr] = loopback_listener();
+    const auto [raw_listen, raw_addr] = loopback_listener();
+    ConnectionManager::Params params;
+    params.write_queue_cap_bytes = kCap;
+    ConnectionManager mgr(reactor, 0, {own_addr, raw_addr}, own_fd, params);
+    mgr.link(1);  // the lower id dials
+    int raw = -1;
+    ASSERT_TRUE(reactor.run_until(
+        [&] { return (raw = accept_nonblocking(raw_listen)) >= 0; }, SimTime::seconds(10)));
+    const std::vector<std::uint8_t> hello = wire::encode_hello_frame(wire::Hello{1, 2});
+    ASSERT_EQ(::send(raw, hello.data(), hello.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(hello.size()));
+    ASSERT_TRUE(reactor.run_until([&] { return mgr.peer_up(1); }, SimTime::seconds(10)));
+
+    const auto unsent = [&] {
+        const auto& c = mgr.counters();
+        return hello_bytes + c.frames_sent * kFrame - c.bytes_sent;
+    };
+    // Up to 64 MB, far more than loopback TCP buffers hold, stopping once
+    // drops have run for a while.
+    std::vector<int> admitted;
+    std::size_t max_unsent = 0;
+    reactor.post([&] {
+        for (int i = 0; i < (64 << 10); ++i) {
+            if (mgr.send_body(1, numbered_payload(i, kPayload), false)) {
+                admitted.push_back(i);
+            } else {
+                EXPECT_GT(unsent() + kFrame, kCap) << "frame " << i << " dropped with room";
+            }
+            max_unsent = std::max(max_unsent, unsent());
+            if (mgr.counters().send_drops_backpressure >= 1000) break;
+        }
+    });
+    reactor.run_until([] { return false; }, SimTime::millis(20));
+    EXPECT_EQ(mgr.counters().send_drops_backpressure, 1000u);
+    EXPECT_EQ(mgr.counters().send_drops_down, 0u);
+    EXPECT_LE(max_unsent, kCap);
+    EXPECT_GE(max_unsent + kFrame, kCap) << "the cap was never reached";
+    EXPECT_GT(admitted.size() * kFrame, kCap) << "frames dropped before a flush";
+
+    // The peer reads now; POLLOUT drains what the kernel refused.
+    wire::FrameParser parser;
+    std::vector<int> received;
+    bool intact = true;
+    reactor.add_fd(raw, [&](bool readable, bool, bool) {
+        if (!readable) return;
+        std::uint8_t buf[64 * 1024];
+        const ssize_t n = ::recv(raw, buf, sizeof buf, 0);
+        if (n <= 0) return;
+        parser.feed({buf, static_cast<std::size_t>(n)});
+        wire::Frame frame;
+        while (parser.next(frame) == wire::FrameParser::Result::Frame) {
+            if (frame.type != wire::FrameType::Body) continue;  // the Hello
+            int index = -1;
+            std::memcpy(&index, frame.payload.data(), sizeof index);
+            intact = intact && std::ranges::equal(frame.payload,
+                                                  numbered_payload(index, kPayload));
+            received.push_back(index);
+        }
+    });
+    EXPECT_TRUE(reactor.run_until([&] { return received.size() >= admitted.size(); },
+                                  SimTime::seconds(10)));
+    EXPECT_EQ(received, admitted);
+    EXPECT_TRUE(intact);
+    EXPECT_EQ(unsent(), 0u);
+    reactor.remove_fd(raw);
+    close_fd(raw);
+    close_fd(raw_listen);
 }
 
 // -- one engine, two substrates ------------------------------------------------
